@@ -4,7 +4,7 @@
 // Beyond the google-benchmark suite:
 //   * `--obs-baseline[=path]` measures event-queue throughput with the
 //     observability layer disabled vs enabled, plus the fleet sweep with
-//     and without the telemetry pipeline (time series + observer +
+//     and without the telemetry pipeline (per-shard time series +
 //     FGCSMET1 segment write), and writes the comparison to a JSON file
 //     (default BENCH_obs.json) — the overhead numbers quoted in
 //     docs/observability.md and gated by scripts/check_build.sh --bench.
@@ -143,8 +143,9 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-// The same workload with an Observer installed: every executed event pays
-// the on_sim_event() hook (counter + max-depth gauge).
+// The same workload with an Observer installed: each run_all flushes one
+// obs::sim_batch into its registry (the event loop itself does no
+// telemetry work).
 void BM_EventQueueScheduleRunObserved(benchmark::State& state) {
   obs::Observer observer;
   obs::ScopedObserver guard(&observer);
@@ -386,7 +387,7 @@ struct FleetRun {
 // runs in the same process (RSS high-water marks never come back down).
 // The child reports its in-process wall time and record count through a
 // pipe. A non-empty `metrics_path` turns on the full telemetry pipeline
-// (per-shard time series + the self-installed observer). `checkpoint`
+// (per-shard time series + the FGCSMET1 segment). `checkpoint`
 // toggles the durable per-shard commit (spill mode's default).
 FleetRun measure_fleet(std::uint32_t machines, int days, std::size_t threads,
                        bool spill, const std::string& metrics_path = "",
@@ -482,8 +483,8 @@ int run_obs_baseline(const std::string& path) {
   const double overhead_percent = (disabled / enabled - 1.0) * 100.0;
 
   // Fleet-scale telemetry overhead: the same sharded sweep with and
-  // without the metrics pipeline (per-shard time-series collection, the
-  // self-installed observer, and the post-merge FGCSMET1 segment write).
+  // without the metrics pipeline (per-shard time-series collection and
+  // the post-merge FGCSMET1 segment write).
   // Forked children keep the runs independent.
   constexpr std::uint32_t kFleetMachines = 256;
   constexpr int kFleetDays = 7;

@@ -98,7 +98,7 @@ GuestStudyResult run_guest_study(const TestbedConfig& testbed,
   const SimDuration slot = interval + cost;
 
   GuestStudyResult result;
-  obs::Observer* const o = obs::observer();
+  using obs::FlightEventKind;
 
   const SimTime first_submit =
       horizon_start + SimDuration::days(lifecycle.first_submit_day);
@@ -144,7 +144,7 @@ GuestStudyResult run_guest_study(const TestbedConfig& testbed,
       if (fail_at == SimTime::max() && kill_at == SimTime::max()) {
         job.completed = true;
         job.response = (t + wall) - submit;
-        if (o != nullptr) o->on_guest_completed(t + wall);
+        obs::emit(FlightEventKind::kGuestCompleted, t + wall);
         break;
       }
 
@@ -163,11 +163,11 @@ GuestStudyResult run_guest_study(const TestbedConfig& testbed,
       job.work_lost += lost;
       job.checkpoints += static_cast<std::uint32_t>(slots);
       job.restarts += 1;
-      if (o != nullptr) {
-        for (std::int64_t i = 0; i < slots; ++i) o->on_guest_checkpoint(died);
-        o->on_guest_work_lost(died, lost);
-        o->on_guest_restart(died);
+      for (std::int64_t i = 0; i < slots; ++i) {
+        obs::emit(FlightEventKind::kGuestCheckpoint, died);
       }
+      obs::emit(FlightEventKind::kGuestWorkLost, died, 0, 0, lost);
+      obs::emit(FlightEventKind::kGuestRestart, died);
 
       const SimDuration delay =
           backoff_delay(lifecycle, job_index, failures, draws++);
@@ -178,7 +178,7 @@ GuestStudyResult run_guest_study(const TestbedConfig& testbed,
         m = static_cast<trace::MachineId>((m + 1) % testbed.machines);
         job.final_machine = m;
         job.migrations += 1;
-        if (o != nullptr) o->on_guest_migration(died);
+        obs::emit(FlightEventKind::kGuestMigration, died);
         t = died + delay;
       } else if (revoked) {
         // Restart on the same machine once the episode clears.

@@ -126,10 +126,10 @@ monitor::UnavailabilityDetector walk_machine(
   }
   detector.finish(end);
 
-  if (auto* o = obs::observer()) {
-    o->on_testbed_machine(machine, begin, end, detector.episodes().size(),
-                          simulation.events_executed());
-  }
+  const std::uint64_t events = simulation.events_executed();
+  obs::emit({end, obs::FlightEventKind::kMachineDone, machine,
+             static_cast<std::int32_t>(detector.episodes().size()),
+             static_cast<std::int32_t>(events), end - begin, events});
   return detector;
 }
 
@@ -223,12 +223,14 @@ monitor::UnavailabilityDetector walk_machine_columnar(
   }
   detector.finish(end);
 
-  if (auto* o = obs::observer()) {
-    o->on_sim_batch(total, 1.0, total + 1, 0, 0, 0, 0);
-    if (total > 0) o->on_sim_run("run_until", begin, end, total);
-    o->on_testbed_machine(machine, begin, end, detector.episodes().size(),
-                          total);
-  }
+  obs::sim_batch({.begin = begin,
+                  .end = end,
+                  .executed = total,
+                  .max_depth = 1.0,
+                  .scheduled = total + 1});
+  obs::emit({end, obs::FlightEventKind::kMachineDone, machine,
+             static_cast<std::int32_t>(detector.episodes().size()),
+             static_cast<std::int32_t>(total), end - begin, total});
   return detector;
 }
 

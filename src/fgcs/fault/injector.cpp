@@ -136,10 +136,8 @@ void MachineFaultSession::schedule(sim::Simulation& simulation) {
         case FaultKind::kGuestKill:
           break;
       }
-      if (auto* o = obs::observer()) {
-        o->on_fault_injected(static_cast<int>(event->kind), event->start,
-                             event->duration);
-      }
+      obs::emit(obs::FlightEventKind::kFaultInjected, event->start,
+                static_cast<int>(event->kind), 0, event->duration);
     });
     simulation.at(ev.start + ev.duration, [this, event] {
       switch (event->kind) {

@@ -178,16 +178,6 @@ FleetResult run_fleet(const FleetConfig& config) {
   std::vector<std::vector<trace::UnavailabilityRecord>> shard_records(
       spill ? 0 : shard_count);
 
-  // The hooks a shard's machines fire only reach the time-series bins
-  // through an installed observer; when telemetry is requested and the
-  // caller didn't install one, provide a local observer for the sweep.
-  std::optional<obs::Observer> local_observer;
-  std::optional<obs::ScopedObserver> local_observer_guard;
-  if (want_metrics && obs::observer() == nullptr) {
-    local_observer.emplace();
-    local_observer_guard.emplace(&*local_observer);
-  }
-
   // One time-series shard per fleet shard; the binned counters fold into
   // fleet totals and spill to the segment after the parallel section.
   std::vector<obs::TimeSeriesShard> ts_shards;
@@ -404,10 +394,9 @@ FleetResult run_fleet(const FleetConfig& config) {
         ++summary.retries;
         if (attempt >= max_attempts || !current.has_value()) throw;
         const trace::MachineId failed = *current;
-        if (auto* o = obs::observer()) {
-          o->on_fleet_shard_retry(s, failed, static_cast<int>(attempt),
-                                  result.horizon_end);
-        }
+        obs::emit({result.horizon_end, obs::FlightEventKind::kShardRetry,
+                   static_cast<std::uint32_t>(s), static_cast<int>(attempt),
+                   static_cast<std::int32_t>(failed)});
         auto it =
             std::find_if(failures.begin(), failures.end(),
                          [&](const auto& f) { return f.first == failed; });
@@ -421,10 +410,9 @@ FleetResult run_fleet(const FleetConfig& config) {
           quarantined.insert(std::lower_bound(quarantined.begin(),
                                               quarantined.end(), failed),
                              failed);
-          if (auto* o = obs::observer()) {
-            o->on_fleet_machine_quarantined(failed, it->second,
-                                            result.horizon_end);
-          }
+          obs::emit({result.horizon_end,
+                     obs::FlightEventKind::kMachineQuarantined, failed,
+                     it->second});
         }
         continue;  // retry the shard
       }
@@ -440,10 +428,10 @@ FleetResult run_fleet(const FleetConfig& config) {
     if (config.progress != nullptr) {
       config.progress->shards_completed.fetch_add(1, std::memory_order_relaxed);
     }
-    if (auto* o = obs::observer()) {
-      o->on_fleet_shard_done(s, summary.first_machine, summary.machine_count,
-                             result.horizon_end);
-    }
+    obs::emit({result.horizon_end, obs::FlightEventKind::kShardDone,
+               static_cast<std::uint32_t>(s),
+               static_cast<std::int32_t>(summary.first_machine),
+               static_cast<std::int32_t>(summary.machine_count)});
     // With telemetry on, the sample count lived in the bins (the
     // detector-sample fast path skips the shard counter); fold the total
     // back now that the shard is done — before the state blob is written,

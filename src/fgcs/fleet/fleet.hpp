@@ -8,13 +8,17 @@
 //
 //   shard worker                         global
 //   ------------------------------       ---------------------------
-//   obs::CounterShard (plain u64) --+--> Observer::merge_shard (once)
-//   core::TestbedRunner::run(m)     |
+//   obs::CounterShard (plain u64) --+--> ShardSummary::counters, and
+//   obs::TimeSeriesShard bins       |    the caller's Observer (once)
+//   core::TestbedRunner::run(m)     +--> metrics_path (FGCSMET1)
 //   trace::TraceWriterV2 segment ---+--> spill_dir/shard-NNNN.trc2
 //
-// Each shard owns a thread-local obs shard (hooks bump plain uint64_ts —
-// no cross-core cache-line ping-pong on fault.injected /
-// os.ticks_fast_forwarded) and, in spill mode, a streaming v2 trace
+// Each shard installs thread-local obs scopes: the obs hooks fold into
+// its CounterShard (plain uint64_ts — no cross-core cache-line ping-pong
+// on fault.injected / os.ticks_fast_forwarded) and, with metrics_path
+// set, its TimeSeriesShard bins. No Observer is needed for either, and
+// run_fleet installs none: concurrent sweeps never see each other's
+// telemetry. In spill mode each shard also owns a streaming v2 trace
 // writer that appends finished machines' records to its own segment, so
 // peak memory is O(shard block) instead of O(fleet).
 //
@@ -142,8 +146,8 @@ struct ShardSummary {
   std::uint64_t records = 0;
   /// The shard's v2 segment (empty in in-memory mode).
   std::string segment_path;
-  /// The shard's merged obs counters (also folded into the installed
-  /// Observer, when any).
+  /// The shard's obs counters, collected whether or not an Observer is
+  /// installed (and folded into the installed Observer, when any).
   obs::CounterShard counters;
   /// Attempts the supervisor had to discard before this shard succeeded.
   std::uint32_t retries = 0;

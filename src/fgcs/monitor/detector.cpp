@@ -11,7 +11,6 @@ namespace fgcs::monitor {
 UnavailabilityDetector::UnavailabilityDetector(ThresholdPolicy policy,
                                                util::Arena* arena)
     : policy_(policy),
-      ts_sink_(obs::current_ts_shard()),
       transitions_(util::ArenaAllocator<Transition>(arena)),
       episodes_(util::ArenaAllocator<UnavailabilityEpisode>(arena)),
       gaps_(util::ArenaAllocator<SensorGap>(arena)) {
@@ -27,14 +26,7 @@ AvailabilityState UnavailabilityDetector::observe(HostSample sample) {
   sample.free_mem_mb = std::max(0.0, sample.free_mem_mb);
   saw_sample_ = true;
   last_time_ = sample.time;
-  // Pinned sink first: with binned collection active this is the entire
-  // per-sample telemetry cost (Observer::on_detector_sample would reach
-  // the same bins through a thread-local load per call).
-  if (ts_sink_ != nullptr) {
-    ts_sink_->on_sample(sample.time);
-  } else if (auto* o = obs::observer()) {
-    o->on_detector_sample(sample.time);
-  }
+  obs::detector_samples(sample.time, {}, 1);
 
   AvailabilityState next;
   // CPU-excursion tracking is orthogonal to the memory check (§3.2.3);
@@ -93,11 +85,7 @@ AvailabilityState UnavailabilityDetector::observe_run(
   free_mem_mb = std::max(0.0, free_mem_mb);
   saw_sample_ = true;
   last_time_ = t0 + stride * static_cast<std::int64_t>(count - 1);
-  if (ts_sink_ != nullptr) {
-    ts_sink_->on_samples(t0, stride, count);
-  } else if (auto* o = obs::observer()) {
-    o->on_detector_samples(t0, stride, count);
-  }
+  obs::detector_samples(t0, stride, count);
 
   // The (clamped) sample enter() snapshots when it opens an episode;
   // only its time varies across the run.
@@ -184,19 +172,15 @@ AvailabilityState UnavailabilityDetector::observe_run(
 void UnavailabilityDetector::enter(AvailabilityState next, sim::SimTime when,
                                    const HostSample& sample) {
   transitions_.push_back({when, state_, next});
-  obs::Observer* const o = obs::observer();
-  if (o != nullptr) {
-    o->on_detector_transition(when, static_cast<int>(state_),
-                              static_cast<int>(next));
-  }
+  obs::emit(obs::FlightEventKind::kStateTransition, when,
+            static_cast<int>(state_), static_cast<int>(next));
 
   if (is_failure(state_) && !episodes_.empty() && episodes_.back().open) {
     episodes_.back().end = when;
     episodes_.back().open = false;
-    if (o != nullptr) {
-      o->on_episode_closed(when, static_cast<int>(episodes_.back().cause),
-                           episodes_.back().duration());
-    }
+    obs::emit(obs::FlightEventKind::kEpisodeClosed, when,
+              static_cast<int>(episodes_.back().cause), 0,
+              episodes_.back().duration());
   }
   if (is_failure(next)) {
     UnavailabilityEpisode ep;
@@ -218,10 +202,12 @@ void UnavailabilityDetector::enter(AvailabilityState next, sim::SimTime when,
     ep.host_cpu_at_start = sample.host_cpu;
     ep.free_mem_at_start = sample.free_mem_mb;
     episodes_.push_back(ep);
-    if (o != nullptr) {
-      o->on_episode_opened(ep.start, static_cast<int>(ep.cause),
-                           ep.host_cpu_at_start, ep.free_mem_at_start);
-    }
+    obs::emit({.at = ep.start,
+               .kind = obs::FlightEventKind::kEpisodeOpened,
+               .machine = obs::current_track(),
+               .a = static_cast<int>(ep.cause),
+               .host_cpu = ep.host_cpu_at_start,
+               .free_mem_mb = ep.free_mem_at_start});
   }
   state_ = next;
 }
@@ -242,17 +228,16 @@ void UnavailabilityDetector::record_gap(sim::SimTime start, sim::SimTime end) {
   high_since_valid_ = false;
   last_time_ = end;
   saw_sample_ = true;
-  if (auto* o = obs::observer()) o->on_sensor_gap(start, end - start);
+  obs::emit(obs::FlightEventKind::kSensorGap, start, 0, 0, end - start);
 }
 
 void UnavailabilityDetector::finish(sim::SimTime end) {
   if (!episodes_.empty() && episodes_.back().open) {
     episodes_.back().end = end;
     episodes_.back().open = false;
-    if (auto* o = obs::observer()) {
-      o->on_episode_closed(end, static_cast<int>(episodes_.back().cause),
-                           episodes_.back().duration());
-    }
+    obs::emit(obs::FlightEventKind::kEpisodeClosed, end,
+              static_cast<int>(episodes_.back().cause), 0,
+              episodes_.back().duration());
   }
 }
 

@@ -24,10 +24,6 @@
 #include "fgcs/sim/time.hpp"
 #include "fgcs/util/arena.hpp"
 
-namespace fgcs::obs {
-class TimeSeriesShard;
-}  // namespace fgcs::obs
-
 namespace fgcs::monitor {
 
 /// One observation of host-side resources (what the monitor can see
@@ -127,12 +123,6 @@ class UnavailabilityDetector {
              const HostSample& sample);
 
   ThresholdPolicy policy_;
-  /// Sample-telemetry sink, resolved from the ambient time-series scope
-  /// once at construction: observe() runs once per simulated sample
-  /// period, so the per-sample telemetry cost must stay at a member load
-  /// plus one bin bump rather than two thread-local/global lookups. A
-  /// scope installed after construction is not picked up.
-  obs::TimeSeriesShard* ts_sink_ = nullptr;
   AvailabilityState state_ = AvailabilityState::kS1FullAvailability;
   bool saw_sample_ = false;
   sim::SimTime last_time_ = sim::SimTime::epoch();

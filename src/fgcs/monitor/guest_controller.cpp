@@ -77,7 +77,7 @@ void GuestController::maybe_checkpoint(AvailabilityState s) {
   checkpointed_ = saved;
   ++checkpoint_count_;
   record(GuestAction::kCheckpoint, s);
-  if (auto* o = obs::observer()) o->on_guest_checkpoint(now);
+  obs::emit(obs::FlightEventKind::kGuestCheckpoint, now);
 }
 
 void GuestController::apply(const UnavailabilityDetector& detector) {
@@ -96,9 +96,8 @@ void GuestController::apply(const UnavailabilityDetector& detector) {
                         : sim::SimDuration::zero();
     if (guest.killed()) {
       record(GuestAction::kObservedKilled, detector.state());
-      if (auto* o = obs::observer()) {
-        o->on_guest_work_lost(machine_.now(), lost_at_exit_);
-      }
+      obs::emit(obs::FlightEventKind::kGuestWorkLost, machine_.now(), 0, 0,
+                lost_at_exit_);
     }
     return;
   }
@@ -112,9 +111,8 @@ void GuestController::apply(const UnavailabilityDetector& detector) {
     lost_at_exit_ = progress > checkpointed_ ? progress - checkpointed_
                                              : sim::SimDuration::zero();
     record(GuestAction::kTerminate, s);
-    if (auto* o = obs::observer()) {
-      o->on_guest_work_lost(machine_.now(), lost_at_exit_);
-    }
+    obs::emit(obs::FlightEventKind::kGuestWorkLost, machine_.now(), 0, 0,
+              lost_at_exit_);
     return;
   }
 

@@ -37,13 +37,18 @@ std::string format_stamp(sim::SimTime at) {
   return buf;
 }
 
-const char* fault_kind_name(std::int32_t kind) {
+}  // namespace
+
+const char* state_name(int state) {
+  static const char* const kNames[] = {"S1", "S2", "S3", "S4", "S5"};
+  return (state >= 1 && state <= 5) ? kNames[state - 1] : "S?";
+}
+
+const char* fault_kind_name(int kind) {
   static const char* const kNames[] = {"crash", "dropout", "skew",
                                        "guest-kill"};
   return (kind >= 0 && kind < 4) ? kNames[kind] : "?";
 }
-
-}  // namespace
 
 bool flight_event_before(const FlightEvent& x, const FlightEvent& y) {
   return std::make_tuple(x.at.as_micros(), static_cast<int>(x.kind), x.machine,
@@ -193,22 +198,13 @@ bool FlightRecorder::dump(std::string_view reason) {
   return write_dump(reason);
 }
 
-FlightRecorder::Snapshot FlightRecorder::snapshot() const {
-  Snapshot snap;
-  snap.events = events();
-  std::lock_guard<std::mutex> lock(mutex_);
-  snap.recorded = recorded_;
-  snap.dropped = recorded_ - ring_.size();
-  return snap;
-}
-
 void FlightRecorder::write(std::ostream& out, std::string_view reason) const {
-  const Snapshot snap = snapshot();
+  const std::vector<FlightEvent> retained = events();
   out << "# fgcs flight recorder post-mortem\n";
   out << "# reason: " << reason << "\n";
-  out << "# events: " << snap.events.size() << " retained, " << snap.dropped
+  out << "# events: " << retained.size() << " retained, " << dropped()
       << " dropped (capacity " << options_.capacity << ")\n";
-  for (const auto& e : sim_time_ordered(snap.events)) {
+  for (const auto& e : sim_time_ordered(retained)) {
     out << format_flight_event(e) << "\n";
   }
 }

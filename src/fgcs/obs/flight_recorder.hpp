@@ -54,21 +54,47 @@ enum class FlightEventKind : std::uint8_t {
   /// A shard attempt failed and is being retried (`machine` is the shard
   /// id, a = attempt number, b = the machine that failed it).
   kShardRetry = 13,
+  // Kinds from here on are counted and traced but never kept in the
+  // flight ring: they fire per run, per ingested record or per query.
+  /// A Simulation run_until (a = 0) or run_all (a = 1) span; `count`
+  /// events executed.
+  kSimRun = 14,
+  /// One availability record ingested by the serving feed.
+  kServeIngest = 15,
+  /// `count` serving queries answered.
+  kServeQueries = 16,
+  /// The serving feed published a fresh fleet snapshot.
+  kSnapshotSwap = 17,
 };
 
-/// One recorded event. `machine` is the thread's current track (the
-/// machine id in testbed runs; the shard id for kShardDone). `a`/`b` are
-/// kind-specific small integers (from/to states, cause, fault kind, first
-/// machine / machine count), `dur` the associated sim-duration (episode
-/// or gap length, fault duration, work lost).
+/// One telemetry event — the struct every obs surface folds. `machine` is
+/// the thread's current track (the machine id in testbed runs; the shard
+/// id for kShardDone/kShardRetry). `a`/`b` are kind-specific small
+/// integers (from/to states, cause, fault kind, first machine / machine
+/// count), `dur` the associated sim-duration (episode or gap length,
+/// fault duration, work lost). The trailing fields only feed the Chrome
+/// trace's args and the serve counters; the ring's order and dump
+/// format ignore them.
 struct FlightEvent {
-  sim::SimTime at;
+  sim::SimTime at{};
   FlightEventKind kind = FlightEventKind::kStateTransition;
   std::uint32_t machine = 0;
   std::int32_t a = 0;
   std::int32_t b = 0;
-  sim::SimDuration dur;
+  sim::SimDuration dur{};
+  /// Events of a sim run, samples of a finished machine, serve queries.
+  std::uint64_t count = 0;
+  /// Host CPU load and free memory when an episode opened.
+  double host_cpu = 0.0;
+  double free_mem_mb = 0.0;
 };
+
+/// "S1".."S5" for a 1-based availability state; "S?" out of range.
+const char* state_name(int state);
+
+/// fault::FaultKind names ("crash", "dropout", "skew", "guest-kill");
+/// "?" out of range.
+const char* fault_kind_name(int kind);
 
 /// Stable sim-time order: (at, kind, machine, a, b, dur). Total over all
 /// fields so equal-time events sort deterministically.
@@ -121,13 +147,6 @@ class FlightRecorder {
   void write(std::ostream& out, std::string_view reason) const;
 
  private:
-  struct Snapshot {
-    std::vector<FlightEvent> events;
-    std::uint64_t recorded = 0;
-    std::uint64_t dropped = 0;
-  };
-
-  Snapshot snapshot() const;
   bool write_dump(std::string_view reason);
 
   Options options_;

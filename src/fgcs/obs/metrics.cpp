@@ -1,11 +1,8 @@
 #include "fgcs/obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
-#include <sstream>
 
-#include "fgcs/obs/trace_sink.hpp"  // json_escape
 #include "fgcs/util/csv.hpp"
 #include "fgcs/util/error.hpp"
 #include "fgcs/util/table.hpp"
@@ -18,14 +15,6 @@ void atomic_add(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream out;
-  out.precision(15);
-  out << v;
-  return out.str();
 }
 
 }  // namespace
@@ -236,52 +225,6 @@ void MetricRegistry::write_csv(std::ostream& out) const {
         break;
     }
   }
-}
-
-void MetricRegistry::write_json(std::ostream& out) const {
-  const auto samples = snapshot();
-  out << "[";
-  bool first = true;
-  for (const auto& s : samples) {
-    if (!first) out << ",";
-    first = false;
-    // Names and labels are user-influenced (scope names, fault-plan
-    // strings): escape them, and rely on snapshot()'s sorted series
-    // order plus registration-sorted label keys for deterministic output.
-    out << "\n  {\"name\":\"" << json_escape(s.name) << "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [k, v] : s.labels) {
-      if (!first_label) out << ",";
-      first_label = false;
-      out << "\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
-    }
-    out << "},";
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        out << "\"type\":\"counter\",\"value\":"
-            << static_cast<std::uint64_t>(s.value) << "}";
-        break;
-      case MetricSample::Kind::kGauge:
-        out << "\"type\":\"gauge\",\"value\":" << json_number(s.value) << "}";
-        break;
-      case MetricSample::Kind::kHistogram: {
-        out << "\"type\":\"histogram\",\"count\":" << s.count
-            << ",\"sum\":" << json_number(s.sum) << ",\"bounds\":[";
-        for (std::size_t i = 0; i < s.bounds.size(); ++i) {
-          if (i) out << ",";
-          out << json_number(s.bounds[i]);
-        }
-        out << "],\"buckets\":[";
-        for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-          if (i) out << ",";
-          out << s.buckets[i];
-        }
-        out << "]}";
-        break;
-      }
-    }
-  }
-  out << "\n]\n";
 }
 
 }  // namespace fgcs::obs

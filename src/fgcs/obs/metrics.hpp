@@ -143,10 +143,6 @@ class MetricRegistry {
   /// CSV export: metric,labels,type,value,count,sum,p50,p90,p99.
   void write_csv(std::ostream& out) const;
 
-  /// JSON export: array of metric objects (histograms include bounds and
-  /// bucket counts so consumers can rebuild the distribution).
-  void write_json(std::ostream& out) const;
-
   std::size_t size() const;
 
  private:

@@ -1,299 +1,258 @@
 #include "fgcs/obs/observer.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <new>
+
+#include "fgcs/util/error.hpp"
 
 namespace fgcs::obs {
 
+#define FGCS_FIELD(name) offsetof(CounterShard, name)
+
 namespace {
 
-// "S1".."S5" and the 25 "Sa->Sb" edge names, so the transition hot path
-// never formats strings.
-const char* state_name(int s) {
-  static const char* const kNames[kStateCount] = {"S1", "S2", "S3", "S4",
-                                                  "S5"};
-  return (s >= 1 && s <= kStateCount) ? kNames[s - 1] : "S?";
+template <typename T>
+T& field(CounterShard& shard, std::size_t offset) {
+  return *std::launder(
+      reinterpret_cast<T*>(reinterpret_cast<unsigned char*>(&shard) + offset));
 }
 
+template <typename T>
+T field(const CounterShard& shard, std::size_t offset) {
+  return field<T>(const_cast<CounterShard&>(shard), offset);
+}
+
+/// Adds `n` to the CounterShard field at byte `offset` of the calling
+/// thread's shard or, without one, of the installed Observer's registry.
+void add(std::size_t offset, std::uint64_t n) {
+  if (CounterShard* s = current_shard()) {
+    field<std::uint64_t>(*s, offset) += n;
+  } else if (Observer* o = observer(); o != nullptr && n > 0) {
+    o->field_counter(offset).inc(n);
+  }
+}
+
+/// Raises the max-gauge CounterShard field at `offset`, like add().
+void raise(std::size_t offset, double v) {
+  if (CounterShard* s = current_shard()) {
+    double& level = field<double>(*s, offset);
+    level = std::max(level, v);
+  } else if (Observer* o = observer()) {
+    o->field_gauge(offset).set_max(v);
+  }
+}
+
+// The 25 "Sa->Sb" edge names, so tracing a transition never formats.
 const char* transition_name(int from, int to) {
-  static char names[kStateCount][kStateCount][8];
-  static const bool initialized = [] {
-    for (int f = 0; f < kStateCount; ++f) {
-      for (int t = 0; t < kStateCount; ++t) {
-        std::snprintf(names[f][t], sizeof names[f][t], "S%d->S%d", f + 1,
-                      t + 1);
+  static const char* const kNames[kStateCount][kStateCount] = {
+      {"S1->S1", "S1->S2", "S1->S3", "S1->S4", "S1->S5"},
+      {"S2->S1", "S2->S2", "S2->S3", "S2->S4", "S2->S5"},
+      {"S3->S1", "S3->S2", "S3->S3", "S3->S4", "S3->S5"},
+      {"S4->S1", "S4->S2", "S4->S3", "S4->S4", "S4->S5"},
+      {"S5->S1", "S5->S2", "S5->S3", "S5->S4", "S5->S5"}};
+  const bool valid = from >= 1 && from <= kStateCount && to >= 1 &&
+                     to <= kStateCount;
+  return valid ? kNames[from - 1][to - 1] : "S?->S?";
+}
+
+// Events no surface would record; see emit().
+bool dropped(const FlightEvent& e) {
+  switch (e.kind) {
+    case FlightEventKind::kStateTransition:
+      return e.a < 1 || e.a > kStateCount || e.b < 1 || e.b > kStateCount;
+    case FlightEventKind::kFaultInjected:
+      return e.a < 0 || e.a >= kFaultKindCount;
+    case FlightEventKind::kGuestWorkLost:
+      return e.dur <= sim::SimDuration::zero();
+    case FlightEventKind::kServeQueries:
+      return e.count == 0;
+    default:
+      return false;
+  }
+}
+
+std::size_t fault_field(int kind) {
+  return FGCS_FIELD(fault_injected) + sizeof(std::uint64_t) * kind;
+}
+
+std::size_t transition_field(int from, int to) {
+  return FGCS_FIELD(detector_transitions) +
+         sizeof(std::uint64_t) * ((from - 1) * kStateCount + (to - 1));
+}
+
+// Folds `e` into the CounterShard fields it counts, via add().
+void count(const FlightEvent& e) {
+  switch (e.kind) {
+    case FlightEventKind::kStateTransition:
+      return add(transition_field(e.a, e.b), 1);
+    case FlightEventKind::kFaultInjected:
+      return add(fault_field(e.a), 1);
+    case FlightEventKind::kEpisodeOpened:
+      return add(FGCS_FIELD(detector_episodes_opened), 1);
+    case FlightEventKind::kEpisodeClosed:
+      return add(FGCS_FIELD(detector_episodes_closed), 1);
+    case FlightEventKind::kSensorGap:
+      add(FGCS_FIELD(detector_sensor_gaps), 1);
+      return add(FGCS_FIELD(detector_sensor_gap_us),
+                 static_cast<std::uint64_t>(e.dur.as_micros()));
+    case FlightEventKind::kMachineDone:
+      return add(FGCS_FIELD(testbed_machines), 1);
+    case FlightEventKind::kServeIngest:
+      return add(FGCS_FIELD(serve_ingest_events), 1);
+    case FlightEventKind::kServeQueries:
+      return add(FGCS_FIELD(serve_queries), e.count);
+    case FlightEventKind::kSnapshotSwap:
+      return add(FGCS_FIELD(serve_snapshot_swaps), 1);
+    default:
+      return;  // guest and fleet events count in the registry only
+  }
+}
+
+constinit thread_local std::uint32_t t_current_track = 0;
+
+/// The registry series of one CounterShard field.
+struct CounterSeries {
+  std::size_t offset;  // byte offset of the field in CounterShard
+  std::string name;
+  Labels labels;
+  bool max_gauge;  // a double high-water mark; otherwise a uint64 count
+};
+
+/// One entry per CounterShard field, in layout order: Observer
+/// registration, merge_shard() and the hooks' registry fallback (through
+/// the per-field series the Observer registers) all read this table.
+const std::vector<CounterSeries>& counter_series() {
+  static const std::vector<CounterSeries> table = [] {
+    std::vector<CounterSeries> t;
+    const auto row = [&t](std::size_t offset, const char* name,
+                          Labels labels = {}, bool max_gauge = false) {
+      t.push_back({offset, name, std::move(labels), max_gauge});
+    };
+    row(FGCS_FIELD(sim_events_executed), "sim.events_executed");
+    row(FGCS_FIELD(sim_events_scheduled), "sim.events_scheduled");
+    row(FGCS_FIELD(sim_events_cancelled), "sim.events_cancelled");
+    row(FGCS_FIELD(sim_events_compacted), "sim.events_compacted");
+    row(FGCS_FIELD(sim_compactions), "sim.queue_compactions");
+    row(FGCS_FIELD(sim_callbacks_spilled), "sim.callbacks_spilled");
+    row(FGCS_FIELD(sim_max_queue_depth), "sim.max_queue_depth", {}, true);
+    for (int k = 0; k < kFaultKindCount; ++k) {
+      row(fault_field(k), "fault.injected", {{"kind", fault_kind_name(k)}});
+    }
+    row(FGCS_FIELD(detector_samples), "detector.samples");
+    row(FGCS_FIELD(detector_sensor_gaps), "detector.sensor_gaps");
+    row(FGCS_FIELD(detector_sensor_gap_us), "detector.sensor_gap_us");
+    for (int f = 1; f <= kStateCount; ++f) {
+      for (int to = 1; to <= kStateCount; ++to) {
+        row(transition_field(f, to), "detector.transitions",
+            {{"from", state_name(f)}, {"to", state_name(to)}});
       }
     }
-    return true;
+    row(FGCS_FIELD(detector_episodes_opened), "detector.episodes_opened");
+    row(FGCS_FIELD(detector_episodes_closed), "detector.episodes_closed");
+    row(FGCS_FIELD(os_ticks), "os.scheduler_ticks");
+    row(FGCS_FIELD(os_ticks_fast_forwarded), "os.ticks_fast_forwarded");
+    row(FGCS_FIELD(os_context_switches), "os.context_switches");
+    row(FGCS_FIELD(os_max_runnable), "os.max_runnable", {}, true);
+    row(FGCS_FIELD(testbed_machines), "testbed.machines_simulated");
+    row(FGCS_FIELD(serve_ingest_events), "serve.ingest_events");
+    row(FGCS_FIELD(serve_queries), "serve.queries");
+    row(FGCS_FIELD(serve_snapshot_swaps), "serve.snapshot_swaps");
+    // Every 8-byte word of CounterShard is one entry, in order.
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      FGCS_ASSERT(t[i].offset == 8 * i);
+    }
+    FGCS_ASSERT(t.size() * 8 == sizeof(CounterShard));
+    return t;
   }();
-  (void)initialized;
-  if (from < 1 || from > kStateCount || to < 1 || to > kStateCount) {
-    return "S?->S?";
-  }
-  return names[from - 1][to - 1];
+  return table;
 }
 
 }  // namespace
 
 Observer::Observer(const Options& options)
     : trace_(options.trace_capacity), trace_enabled_(options.enable_trace) {
-  sim_events_executed_ = &metrics_.counter("sim.events_executed");
-  sim_events_scheduled_ = &metrics_.counter("sim.events_scheduled");
-  sim_events_cancelled_ = &metrics_.counter("sim.events_cancelled");
-  sim_events_compacted_ = &metrics_.counter("sim.events_compacted");
-  sim_compactions_ = &metrics_.counter("sim.queue_compactions");
-  sim_callbacks_spilled_ = &metrics_.counter("sim.callbacks_spilled");
-  sim_max_queue_depth_ = &metrics_.gauge("sim.max_queue_depth");
-  static const char* const kFaultKindNames[kFaultKindCount] = {
-      "crash", "dropout", "skew", "guest-kill"};
-  for (int k = 0; k < kFaultKindCount; ++k) {
-    fault_injected_[k] =
-        &metrics_.counter("fault.injected", {{"kind", kFaultKindNames[k]}});
-  }
-  guest_restarts_ = &metrics_.counter("guest.restarts");
-  guest_migrations_ = &metrics_.counter("guest.migrations");
-  guest_checkpoints_ = &metrics_.counter("guest.checkpoints");
-  guest_completions_ = &metrics_.counter("guest.completions");
-  guest_work_lost_us_ = &metrics_.counter("guest.work_lost_us");
-  detector_samples_ = &metrics_.counter("detector.samples");
-  detector_sensor_gaps_ = &metrics_.counter("detector.sensor_gaps");
-  detector_sensor_gap_us_ = &metrics_.counter("detector.sensor_gap_us");
-  for (int f = 1; f <= kStateCount; ++f) {
-    for (int t = 1; t <= kStateCount; ++t) {
-      detector_transitions_[f - 1][t - 1] = &metrics_.counter(
-          "detector.transitions",
-          {{"from", state_name(f)}, {"to", state_name(t)}});
-    }
-  }
-  detector_episodes_opened_ = &metrics_.counter("detector.episodes_opened");
-  detector_episodes_closed_ = &metrics_.counter("detector.episodes_closed");
-  os_ticks_ = &metrics_.counter("os.scheduler_ticks");
-  os_ticks_fast_forwarded_ = &metrics_.counter("os.ticks_fast_forwarded");
-  os_context_switches_ = &metrics_.counter("os.context_switches");
-  os_max_runnable_ = &metrics_.gauge("os.max_runnable");
-  testbed_machines_ = &metrics_.counter("testbed.machines_simulated");
-  fleet_machines_done_ = &metrics_.counter("fleet.machines_done");
-  fleet_shards_done_ = &metrics_.counter("fleet.shards_completed");
-  fleet_shard_retries_ = &metrics_.counter("fleet.shard_retries");
-  fleet_machines_quarantined_ =
-      &metrics_.counter("fleet.machines_quarantined");
-  serve_ingest_events_ = &metrics_.counter("serve.ingest_events");
-  serve_queries_ = &metrics_.counter("serve.queries");
-  serve_snapshot_swaps_ = &metrics_.counter("serve.snapshot_swaps");
-}
-
-void Observer::on_sim_run(const char* what, sim::SimTime begin,
-                          sim::SimTime end, std::uint64_t events) {
-  if (!trace_enabled_) return;
-  char args[48];
-  std::snprintf(args, sizeof args, "\"events\":%llu",
-                static_cast<unsigned long long>(events));
-  trace_.complete("sim", what, begin, end - begin, current_track(), args);
-}
-
-void Observer::on_sim_batch(std::uint64_t executed, double max_depth,
-                            std::uint64_t scheduled, std::uint64_t spilled,
-                            std::uint64_t cancelled, std::uint64_t compactions,
-                            std::uint64_t compacted) {
-  if (CounterShard* s = current_shard()) {
-    s->sim_events_executed += executed;
-    s->sim_events_scheduled += scheduled;
-    s->sim_callbacks_spilled += spilled;
-    s->sim_events_cancelled += cancelled;
-    s->sim_compactions += compactions;
-    s->sim_events_compacted += compacted;
-    if (max_depth > s->sim_max_queue_depth) s->sim_max_queue_depth = max_depth;
-    return;
-  }
-  if (executed > 0) sim_events_executed_->inc(executed);
-  if (max_depth > 0) sim_max_queue_depth_->set_max(max_depth);
-  if (scheduled > 0) sim_events_scheduled_->inc(scheduled);
-  if (spilled > 0) sim_callbacks_spilled_->inc(spilled);
-  if (cancelled > 0) sim_events_cancelled_->inc(cancelled);
-  if (compactions > 0) {
-    sim_compactions_->inc(compactions);
-    sim_events_compacted_->inc(compacted);
-  }
-}
-
-void Observer::on_fault_injected(int kind, sim::SimTime at,
-                                 sim::SimDuration duration) {
-  static const char* const kFaultKindNames[kFaultKindCount] = {
-      "crash", "dropout", "skew", "guest-kill"};
-  if (kind < 0 || kind >= kFaultKindCount) return;
-  if (TimeSeriesShard* ts = current_ts_shard()) ts->on_fault(at, kind);
-  if (CounterShard* s = current_shard()) {
-    ++s->fault_injected[kind];
-  } else {
-    fault_injected_[kind]->inc();
-  }
-  if (flight_ != nullptr) {
-    flight_->record({at, FlightEventKind::kFaultInjected, current_track(),
-                     kind, 0, duration});
-  }
-  if (trace_enabled_) {
-    trace_.complete("fault", kFaultKindNames[kind], at, duration,
-                    current_track());
-  }
-}
-
-void Observer::on_sensor_gap(sim::SimTime start, sim::SimDuration duration) {
-  if (TimeSeriesShard* ts = current_ts_shard()) {
-    ts->on_sensor_gap(start, duration);
-  }
-  if (flight_ != nullptr) {
-    flight_->record({start, FlightEventKind::kSensorGap, current_track(), 0,
-                     0, duration});
-  }
-  if (CounterShard* s = current_shard()) {
-    ++s->detector_sensor_gaps;
-    s->detector_sensor_gap_us +=
-        static_cast<std::uint64_t>(duration.as_micros());
-  } else {
-    detector_sensor_gaps_->inc();
-    detector_sensor_gap_us_->inc(
-        static_cast<std::uint64_t>(duration.as_micros()));
-  }
-  if (trace_enabled_) {
-    trace_.complete("detector", "sensor_gap", start, duration,
-                    current_track());
-  }
-}
-
-void Observer::on_detector_transition(sim::SimTime at, int from, int to) {
-  if (from >= 1 && from <= kStateCount && to >= 1 && to <= kStateCount) {
-    if (TimeSeriesShard* ts = current_ts_shard()) ts->on_transition(at, to);
-    if (CounterShard* s = current_shard()) {
-      ++s->detector_transitions[from - 1][to - 1];
+  for (const CounterSeries& s : counter_series()) {
+    if (s.max_gauge) {
+      gauges_[s.offset / 8] = &metrics_.gauge(s.name, s.labels);
     } else {
-      detector_transitions_[from - 1][to - 1]->inc();
-    }
-    if (flight_ != nullptr) {
-      flight_->record({at, FlightEventKind::kStateTransition, current_track(),
-                       from, to, {}});
+      counters_[s.offset / 8] = &metrics_.counter(s.name, s.labels);
     }
   }
-  if (trace_enabled_) {
-    trace_.instant("detector", transition_name(from, to), at,
-                   current_track());
+  static constexpr std::pair<FlightEventKind, const char*> kEventSeries[] = {
+      {FlightEventKind::kGuestCheckpoint, "guest.checkpoints"},
+      {FlightEventKind::kGuestRestart, "guest.restarts"},
+      {FlightEventKind::kGuestMigration, "guest.migrations"},
+      {FlightEventKind::kGuestCompleted, "guest.completions"},
+      {FlightEventKind::kGuestWorkLost, "guest.work_lost_us"},
+      {FlightEventKind::kShardDone, "fleet.shards_completed"},
+      {FlightEventKind::kShardRetry, "fleet.shard_retries"},
+      {FlightEventKind::kMachineQuarantined, "fleet.machines_quarantined"},
+  };
+  for (const auto& [kind, name] : kEventSeries) {
+    event_counters_[static_cast<int>(kind)] = &metrics_.counter(name);
   }
+  fleet_machines_done_ = &metrics_.counter("fleet.machines_done");
 }
 
-void Observer::on_episode_opened(sim::SimTime at, int cause, double host_cpu,
-                                 double free_mem_mb) {
-  if (TimeSeriesShard* ts = current_ts_shard()) ts->on_episode_opened(at);
-  if (CounterShard* s = current_shard()) {
-    ++s->detector_episodes_opened;
-  } else {
-    detector_episodes_opened_->inc();
+void Observer::record(const FlightEvent& e) {
+  if (Counter* c = event_counters_[static_cast<int>(e.kind)]) {
+    c->inc(e.kind == FlightEventKind::kGuestWorkLost
+               ? static_cast<std::uint64_t>(e.dur.as_micros())
+               : 1);
   }
-  if (flight_ != nullptr) {
-    flight_->record({at, FlightEventKind::kEpisodeOpened, current_track(),
-                     cause, 0, {}});
+  if (flight_ != nullptr && e.kind < FlightEventKind::kSimRun) {
+    flight_->record(e);
   }
-  if (sink_ != nullptr) {
-    sink_->on_flight_event({at, FlightEventKind::kEpisodeOpened,
-                            current_track(), cause, 0, {}});
+  if (sink_ != nullptr && (e.kind == FlightEventKind::kEpisodeOpened ||
+                           e.kind == FlightEventKind::kEpisodeClosed)) {
+    sink_->on_flight_event(e);
   }
   if (!trace_enabled_) return;
   char args[96];
-  std::snprintf(args, sizeof args, "\"cause\":\"%s\",\"host_cpu\":%.4f,"
-                                   "\"free_mem_mb\":%.1f",
-                state_name(cause), host_cpu, free_mem_mb);
-  trace_.instant("detector", "episode_open", at, current_track(), args);
-}
-
-void Observer::on_episode_closed(sim::SimTime at, int cause,
-                                 sim::SimDuration duration) {
-  if (TimeSeriesShard* ts = current_ts_shard()) {
-    ts->on_episode_closed(at, duration);
-  }
-  if (CounterShard* s = current_shard()) {
-    ++s->detector_episodes_closed;
-  } else {
-    detector_episodes_closed_->inc();
-  }
-  if (flight_ != nullptr) {
-    flight_->record({at, FlightEventKind::kEpisodeClosed, current_track(),
-                     cause, 0, duration});
-  }
-  if (sink_ != nullptr) {
-    sink_->on_flight_event({at, FlightEventKind::kEpisodeClosed,
-                            current_track(), cause, 0, duration});
-  }
-  if (!trace_enabled_) return;
-  char args[96];
-  std::snprintf(args, sizeof args, "\"cause\":\"%s\",\"duration_s\":%.1f",
-                state_name(cause), duration.as_seconds());
-  trace_.instant("detector", "episode_close", at, current_track(), args);
-  // Render the episode itself as a span so unavailability shows up as
-  // solid blocks on the machine's track.
-  trace_.complete("detector", state_name(cause), at - duration, duration,
-                  current_track());
-}
-
-void Observer::on_testbed_machine(std::uint32_t machine, sim::SimTime begin,
-                                  sim::SimTime end, std::size_t episodes,
-                                  std::uint64_t samples) {
-  if (CounterShard* s = current_shard()) {
-    ++s->testbed_machines;
-  } else {
-    testbed_machines_->inc();
-  }
-  if (flight_ != nullptr) {
-    flight_->record({end, FlightEventKind::kMachineDone, machine,
-                     static_cast<std::int32_t>(episodes),
-                     static_cast<std::int32_t>(samples), end - begin});
-  }
-  if (!trace_enabled_) return;
-  char name[32];
-  std::snprintf(name, sizeof name, "machine-%u", machine);
-  trace_.name_track(machine, name);
-  char args[96];
-  std::snprintf(args, sizeof args, "\"episodes\":%llu,\"samples\":%llu",
-                static_cast<unsigned long long>(episodes),
-                static_cast<unsigned long long>(samples));
-  trace_.complete("testbed", "simulate_machine", begin, end - begin, machine,
-                  args);
-}
-
-void Observer::on_guest_restart(sim::SimTime at) {
-  guest_restarts_->inc();
-  if (flight_ != nullptr) {
-    flight_->record(
-        {at, FlightEventKind::kGuestRestart, current_track(), 0, 0, {}});
-  }
-}
-
-void Observer::on_guest_migration(sim::SimTime at) {
-  guest_migrations_->inc();
-  if (flight_ != nullptr) {
-    flight_->record(
-        {at, FlightEventKind::kGuestMigration, current_track(), 0, 0, {}});
-  }
-}
-
-void Observer::on_guest_checkpoint(sim::SimTime at) {
-  guest_checkpoints_->inc();
-  if (flight_ != nullptr) {
-    flight_->record(
-        {at, FlightEventKind::kGuestCheckpoint, current_track(), 0, 0, {}});
-  }
-}
-
-void Observer::on_guest_completed(sim::SimTime at) {
-  guest_completions_->inc();
-  if (flight_ != nullptr) {
-    flight_->record(
-        {at, FlightEventKind::kGuestCompleted, current_track(), 0, 0, {}});
-  }
-}
-
-void Observer::on_guest_work_lost(sim::SimTime at, sim::SimDuration lost) {
-  if (lost <= sim::SimDuration::zero()) return;
-  guest_work_lost_us_->inc(static_cast<std::uint64_t>(lost.as_micros()));
-  if (flight_ != nullptr) {
-    flight_->record(
-        {at, FlightEventKind::kGuestWorkLost, current_track(), 0, 0, lost});
+  switch (e.kind) {
+    case FlightEventKind::kSimRun:
+      std::snprintf(args, sizeof args, "\"events\":%llu",
+                    static_cast<unsigned long long>(e.count));
+      trace_.complete("sim", e.a != 0 ? "run_all" : "run_until", e.at, e.dur,
+                      e.machine, args);
+      break;
+    case FlightEventKind::kFaultInjected:
+      trace_.complete("fault", fault_kind_name(e.a), e.at, e.dur, e.machine);
+      break;
+    case FlightEventKind::kSensorGap:
+      trace_.complete("detector", "sensor_gap", e.at, e.dur, e.machine);
+      break;
+    case FlightEventKind::kStateTransition:
+      trace_.instant("detector", transition_name(e.a, e.b), e.at, e.machine);
+      break;
+    case FlightEventKind::kEpisodeOpened:
+      std::snprintf(args, sizeof args,
+                    "\"cause\":\"%s\",\"host_cpu\":%.4f,\"free_mem_mb\":%.1f",
+                    state_name(e.a), e.host_cpu, e.free_mem_mb);
+      trace_.instant("detector", "episode_open", e.at, e.machine, args);
+      break;
+    case FlightEventKind::kEpisodeClosed:
+      std::snprintf(args, sizeof args, "\"cause\":\"%s\",\"duration_s\":%.1f",
+                    state_name(e.a), e.dur.as_seconds());
+      trace_.instant("detector", "episode_close", e.at, e.machine, args);
+      // Render the episode itself as a span so unavailability shows up as
+      // solid blocks on the machine's track.
+      trace_.complete("detector", state_name(e.a), e.at - e.dur, e.dur,
+                      e.machine);
+      break;
+    case FlightEventKind::kMachineDone: {
+      char name[32];
+      std::snprintf(name, sizeof name, "machine-%u", e.machine);
+      trace_.name_track(e.machine, name);
+      std::snprintf(args, sizeof args, "\"episodes\":%d,\"samples\":%llu",
+                    e.a, static_cast<unsigned long long>(e.count));
+      trace_.complete("testbed", "simulate_machine", e.at - e.dur, e.dur,
+                      e.machine, args);
+      break;
+    }
+    default:
+      break;  // guest, fleet and serve events are not traced
   }
 }
 
@@ -301,63 +260,9 @@ void Observer::on_fleet_shard_done(std::size_t shard,
                                    std::uint32_t first_machine,
                                    std::size_t machine_count,
                                    sim::SimTime at) {
-  fleet_shards_done_->inc();
-  if (flight_ != nullptr) {
-    flight_->record({at, FlightEventKind::kShardDone,
-                     static_cast<std::uint32_t>(shard),
-                     static_cast<std::int32_t>(first_machine),
-                     static_cast<std::int32_t>(machine_count), {}});
-  }
-}
-
-void Observer::on_fleet_shard_retry(std::size_t shard, std::uint32_t failed,
-                                    int attempt, sim::SimTime at) {
-  fleet_shard_retries_->inc();
-  if (flight_ != nullptr) {
-    flight_->record({at, FlightEventKind::kShardRetry,
-                     static_cast<std::uint32_t>(shard), attempt,
-                     static_cast<std::int32_t>(failed), {}});
-  }
-}
-
-void Observer::on_fleet_machine_quarantined(std::uint32_t machine,
-                                            int failures, sim::SimTime at) {
-  fleet_machines_quarantined_->inc();
-  if (flight_ != nullptr) {
-    flight_->record(
-        {at, FlightEventKind::kMachineQuarantined, machine, failures, 0, {}});
-  }
-}
-
-void Observer::on_serve_ingest(sim::SimTime at) {
-  if (TimeSeriesShard* ts = current_ts_shard()) {
-    ts->on_serve_ingest(at);
-    // Fall through: unlike detector samples, serve totals are not
-    // reconstructed from bins, so the counter path always runs.
-  }
-  if (CounterShard* s = current_shard()) {
-    ++s->serve_ingest_events;
-    return;
-  }
-  serve_ingest_events_->inc();
-}
-
-void Observer::on_serve_queries(sim::SimTime at, std::uint64_t n) {
-  if (n == 0) return;
-  if (TimeSeriesShard* ts = current_ts_shard()) ts->on_serve_queries(at, n);
-  if (CounterShard* s = current_shard()) {
-    s->serve_queries += n;
-    return;
-  }
-  serve_queries_->inc(n);
-}
-
-void Observer::on_serve_snapshot_swap() {
-  if (CounterShard* s = current_shard()) {
-    ++s->serve_snapshot_swaps;
-    return;
-  }
-  serve_snapshot_swaps_->inc();
+  record({at, FlightEventKind::kShardDone, static_cast<std::uint32_t>(shard),
+          static_cast<std::int32_t>(first_machine),
+          static_cast<std::int32_t>(machine_count)});
 }
 
 void Observer::record_scope(std::string_view name, double seconds) {
@@ -367,61 +272,62 @@ void Observer::record_scope(std::string_view name, double seconds) {
 }
 
 void Observer::merge_shard(const CounterShard& shard) {
-  sim_events_executed_->inc(shard.sim_events_executed);
-  sim_events_scheduled_->inc(shard.sim_events_scheduled);
-  sim_events_cancelled_->inc(shard.sim_events_cancelled);
-  sim_events_compacted_->inc(shard.sim_events_compacted);
-  sim_compactions_->inc(shard.sim_compactions);
-  sim_callbacks_spilled_->inc(shard.sim_callbacks_spilled);
-  sim_max_queue_depth_->set_max(shard.sim_max_queue_depth);
-  for (int k = 0; k < kFaultKindCount; ++k) {
-    if (shard.fault_injected[k] > 0) {
-      fault_injected_[k]->inc(shard.fault_injected[k]);
+  for (const CounterSeries& s : counter_series()) {
+    if (s.max_gauge) {
+      gauges_[s.offset / 8]->set_max(field<double>(shard, s.offset));
+    } else if (const auto n = field<std::uint64_t>(shard, s.offset)) {
+      counters_[s.offset / 8]->inc(n);
     }
   }
-  detector_samples_->inc(shard.detector_samples);
-  detector_sensor_gaps_->inc(shard.detector_sensor_gaps);
-  detector_sensor_gap_us_->inc(shard.detector_sensor_gap_us);
-  for (int f = 0; f < kStateCount; ++f) {
-    for (int t = 0; t < kStateCount; ++t) {
-      if (shard.detector_transitions[f][t] > 0) {
-        detector_transitions_[f][t]->inc(shard.detector_transitions[f][t]);
-      }
-    }
-  }
-  detector_episodes_opened_->inc(shard.detector_episodes_opened);
-  detector_episodes_closed_->inc(shard.detector_episodes_closed);
-  os_ticks_->inc(shard.os_ticks);
-  os_ticks_fast_forwarded_->inc(shard.os_ticks_fast_forwarded);
-  os_context_switches_->inc(shard.os_context_switches);
-  os_max_runnable_->set_max(shard.os_max_runnable);
-  testbed_machines_->inc(shard.testbed_machines);
-  serve_ingest_events_->inc(shard.serve_ingest_events);
-  serve_queries_->inc(shard.serve_queries);
-  serve_snapshot_swaps_->inc(shard.serve_snapshot_swaps);
 }
+
+void detail::emit(const FlightEvent& e) {
+  if (dropped(e)) return;
+  if (TimeSeriesShard* ts = current_ts_shard()) ts->record(e);
+  count(e);
+  if (Observer* o = observer()) o->record(e);
+}
+
+void scheduler_ticks(bool switched, std::size_t runnable,
+                     std::uint64_t skipped) {
+  if (current_shard() == nullptr && observer() == nullptr) return;
+  add(FGCS_FIELD(os_ticks), 1);
+  if (switched) add(FGCS_FIELD(os_context_switches), 1);
+  if (skipped > 0) add(FGCS_FIELD(os_ticks_fast_forwarded), skipped);
+  raise(FGCS_FIELD(os_max_runnable), static_cast<double>(runnable));
+}
+
+void sim_batch(const SimBatch& b) {
+  add(FGCS_FIELD(sim_events_executed), b.executed);
+  add(FGCS_FIELD(sim_events_scheduled), b.scheduled);
+  add(FGCS_FIELD(sim_callbacks_spilled), b.spilled);
+  add(FGCS_FIELD(sim_events_cancelled), b.cancelled);
+  add(FGCS_FIELD(sim_compactions), b.compactions);
+  add(FGCS_FIELD(sim_events_compacted), b.compacted);
+  raise(FGCS_FIELD(sim_max_queue_depth), b.max_depth);
+  if (b.executed == 0) return;
+  if (Observer* o = observer()) {
+    o->record({b.begin, FlightEventKind::kSimRun, current_track(),
+               b.run_all ? 1 : 0, 0, b.end - b.begin, b.executed});
+  }
+}
+
+#undef FGCS_FIELD
 
 namespace detail {
 std::atomic<Observer*> g_observer{nullptr};
+constinit thread_local CounterShard* t_shard = nullptr;
 }  // namespace detail
 
 void set_observer(Observer* observer) {
   detail::g_observer.store(observer, std::memory_order_release);
 }
 
-namespace detail {
-constinit thread_local CounterShard* t_shard = nullptr;
-}  // namespace detail
-
 ShardScope::ShardScope(CounterShard* shard) : previous_(detail::t_shard) {
   detail::t_shard = shard;
 }
 
 ShardScope::~ShardScope() { detail::t_shard = previous_; }
-
-namespace {
-constinit thread_local std::uint32_t t_current_track = 0;
-}  // namespace
 
 std::uint32_t current_track() { return t_current_track; }
 

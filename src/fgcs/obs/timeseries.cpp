@@ -431,34 +431,47 @@ void TimeSeriesShard::on_samples(sim::SimTime at, sim::SimDuration stride,
   }
 }
 
-void TimeSeriesShard::on_transition(sim::SimTime at, int to) {
-  const std::size_t b = bin(at);
-  ++transitions_[b];
-  if (to >= 1 && to <= static_cast<int>(state_entered_.size())) {
-    ++state_entered_[static_cast<std::size_t>(to - 1)][b];
+void TimeSeriesShard::record(const FlightEvent& e) {
+  switch (e.kind) {
+    case FlightEventKind::kStateTransition:
+      ++transitions_[bin(e.at)];
+      if (e.b >= 1 && e.b <= static_cast<int>(state_entered_.size())) {
+        ++state_entered_[static_cast<std::size_t>(e.b - 1)][bin(e.at)];
+      }
+      break;
+    case FlightEventKind::kFaultInjected:
+      if (e.a >= 0 && e.a < static_cast<int>(faults_.size())) {
+        ++faults_[static_cast<std::size_t>(e.a)][bin(e.at)];
+      }
+      break;
+    case FlightEventKind::kEpisodeOpened:
+      ++episodes_opened_[bin(e.at)];
+      break;
+    case FlightEventKind::kEpisodeClosed: {
+      const std::size_t b = bin(e.at);
+      ++episodes_closed_[b];
+      episode_us_[b] += static_cast<std::uint64_t>(e.dur.as_micros());
+      const auto& bounds = episode_minute_bounds();
+      const auto it =
+          std::lower_bound(bounds.begin(), bounds.end(), e.dur.as_minutes());
+      ++episode_buckets_[static_cast<std::size_t>(it - bounds.begin())][b];
+      break;
+    }
+    case FlightEventKind::kSensorGap: {
+      const std::size_t b = bin(e.at);
+      ++sensor_gaps_[b];
+      sensor_gap_us_[b] += static_cast<std::uint64_t>(e.dur.as_micros());
+      break;
+    }
+    case FlightEventKind::kServeIngest:
+      ++serve_ingests_[bin(e.at)];
+      break;
+    case FlightEventKind::kServeQueries:
+      serve_queries_[bin(e.at)] += e.count;
+      break;
+    default:
+      break;
   }
-}
-
-void TimeSeriesShard::on_episode_closed(sim::SimTime at,
-                                        sim::SimDuration length) {
-  const std::size_t b = bin(at);
-  ++episodes_closed_[b];
-  episode_us_[b] += static_cast<std::uint64_t>(length.as_micros());
-  const double minutes = length.as_minutes();
-  const auto& bounds = episode_minute_bounds();
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), minutes);
-  ++episode_buckets_[static_cast<std::size_t>(it - bounds.begin())][b];
-}
-
-void TimeSeriesShard::on_sensor_gap(sim::SimTime at, sim::SimDuration gap) {
-  const std::size_t b = bin(at);
-  ++sensor_gaps_[b];
-  sensor_gap_us_[b] += static_cast<std::uint64_t>(gap.as_micros());
-}
-
-void TimeSeriesShard::on_fault(sim::SimTime at, int kind) {
-  if (kind < 0 || kind >= static_cast<int>(faults_.size())) return;
-  ++faults_[static_cast<std::size_t>(kind)][bin(at)];
 }
 
 sim::SimTime TimeSeriesShard::bin_end(std::size_t i) const {
@@ -617,14 +630,11 @@ void TimeSeriesShard::write_series(MetricsWriterV1& w,
     }
   };
 
-  static const char* const kStateNames[] = {"S1", "S2", "S3", "S4", "S5"};
-  static const char* const kFaultNames[] = {"crash", "dropout", "skew",
-                                            "guest-kill"};
-
   emit("detector.samples", {}, SeriesKind::kCounter, samples_, 1.0);
   emit("detector.transitions", {}, SeriesKind::kCounter, transitions_, 1.0);
   for (std::size_t s = 0; s < state_entered_.size(); ++s) {
-    emit("detector.state_entered", {{"state", kStateNames[s]}},
+    emit("detector.state_entered",
+         {{"state", state_name(static_cast<int>(s) + 1)}},
          SeriesKind::kCounter, state_entered_[s], 1.0);
   }
   emit("detector.episodes_opened", {}, SeriesKind::kCounter, episodes_opened_,
@@ -635,8 +645,8 @@ void TimeSeriesShard::write_series(MetricsWriterV1& w,
   emit("detector.sensor_gap_us", {}, SeriesKind::kCounter, sensor_gap_us_,
        1.0);
   for (std::size_t k = 0; k < faults_.size(); ++k) {
-    emit("fault.injected", {{"kind", kFaultNames[k]}}, SeriesKind::kCounter,
-         faults_[k], 1.0);
+    emit("fault.injected", {{"kind", fault_kind_name(static_cast<int>(k))}},
+         SeriesKind::kCounter, faults_[k], 1.0);
   }
   emit("serve.ingest_events", {}, SeriesKind::kCounter, serve_ingests_, 1.0);
   emit("serve.queries", {}, SeriesKind::kCounter, serve_queries_, 1.0);
@@ -664,64 +674,40 @@ TimeSeriesScope::TimeSeriesScope(TimeSeriesShard* shard)
 
 TimeSeriesScope::~TimeSeriesScope() { detail::t_ts_shard = previous_; }
 
-// ---------------------------------------------------------------------------
-// TimeSeriesRecorder
-
-TimeSeriesRecorder::TimeSeriesRecorder(const MetricRegistry& registry,
-                                       const std::string& path,
-                                       sim::SimTime start, sim::SimTime end,
-                                       sim::SimDuration resolution)
-    : registry_(&registry), writer_(path, start, end, resolution) {}
-
-TimeSeriesRecorder::~TimeSeriesRecorder() {
-  try {
-    finish();
-  } catch (...) {
-    // Destructor must not throw; callers wanting the error call finish().
-  }
-}
-
-void TimeSeriesRecorder::emit(std::string_view name, SeriesKind kind,
-                              sim::SimTime now, double value) {
-  const auto it = last_.find(name);
-  if (it != last_.end() && it->second == value) return;
-  writer_.append(writer_.series_id(name, kind), now, value);
-  if (it != last_.end()) {
-    it->second = value;
-  } else {
-    last_.emplace(std::string(name), value);
-  }
-}
-
-void TimeSeriesRecorder::sample(sim::SimTime now) {
-  for (const auto& s : registry_->snapshot()) {
+void write_registry_snapshot(const MetricRegistry& registry,
+                             const std::string& path, sim::SimTime at) {
+  const sim::SimDuration bin = sim::SimDuration::hours(1);
+  MetricsWriterV1 w(path, at, at + bin, bin);
+  const auto emit = [&](const std::string& name, SeriesKind kind,
+                        double value) {
+    w.append(w.series_id(name, kind), at, value);
+  };
+  for (const auto& s : registry.snapshot()) {
     switch (s.kind) {
       case MetricSample::Kind::kCounter:
-        emit(s.series(), SeriesKind::kCounter, now, s.value);
+        emit(s.series(), SeriesKind::kCounter, s.value);
         break;
       case MetricSample::Kind::kGauge:
-        emit(s.series(), SeriesKind::kGauge, now, s.value);
+        emit(s.series(), SeriesKind::kGauge, s.value);
         break;
-      case MetricSample::Kind::kHistogram: {
+      case MetricSample::Kind::kHistogram:
         emit(series_string(s.name + ".count", s.labels),
-             SeriesKind::kHistCount, now, static_cast<double>(s.count));
+             SeriesKind::kHistCount, static_cast<double>(s.count));
         emit(series_string(s.name + ".sum", s.labels), SeriesKind::kHistSum,
-             now, s.sum);
+             s.sum);
         for (std::size_t k = 0; k < s.buckets.size(); ++k) {
+          if (s.buckets[k] == 0) continue;
           const std::string le = k < s.bounds.size()
                                      ? format_bound(s.bounds[k])
                                      : std::string("+inf");
-          const std::string name = series_string(
-              s.name + ".bucket", merge_labels(s.labels, {{"le", le}}));
-          // Never-touched buckets stay out of the segment entirely.
-          if (s.buckets[k] == 0 && last_.find(name) == last_.end()) continue;
-          emit(name, SeriesKind::kHistBucket, now,
-               static_cast<double>(s.buckets[k]));
+          emit(series_string(s.name + ".bucket",
+                             merge_labels(s.labels, {{"le", le}})),
+               SeriesKind::kHistBucket, static_cast<double>(s.buckets[k]));
         }
         break;
-      }
     }
   }
+  w.finish();
 }
 
 }  // namespace fgcs::obs

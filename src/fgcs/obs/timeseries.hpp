@@ -1,5 +1,5 @@
 // Sim-time-aligned metrics time series: columnar on-disk format + binned
-// per-shard collection + periodic registry snapshots.
+// per-shard collection + one-shot registry snapshots.
 //
 // The registry (metrics.hpp) answers "how many, in total"; this file
 // answers "how many, *when*". Three pieces:
@@ -34,11 +34,10 @@
 //    non-atomic increment — no allocation, no contention — and the bins
 //    are additive, so per-shard series and fleet totals fold exactly.
 //
-//  * TimeSeriesRecorder: periodically snapshots every counter / gauge /
-//    histogram in a MetricRegistry into a segment (histograms decompose
-//    into .count / .sum / .bucket{le=...} sub-series), suppressing
-//    unchanged values. For single-clock runs (one Simulation) this is the
-//    generic "sample everything every N sim-hours" recorder.
+//  * write_registry_snapshot: one sample of every counter / gauge /
+//    histogram in a MetricRegistry, as a segment (histograms decompose
+//    into .count / .sum / .bucket{le=...} sub-series) — how commands
+//    other than the fleet sweep answer --metrics-ts-out.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +48,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fgcs/obs/flight_recorder.hpp"
 #include "fgcs/obs/metrics.hpp"
 #include "fgcs/sim/time.hpp"
 #include "fgcs/util/binio.hpp"
@@ -222,8 +222,8 @@ class TimeSeriesShard {
   TimeSeriesShard(sim::SimTime start, sim::SimTime end,
                   sim::SimDuration resolution);
 
-  // Hot hooks (called from Observer when a scope is installed). States
-  // and fault kinds use the observer's conventions: 1-based S-states,
+  // Hot hooks (called from the obs hooks when a scope is installed).
+  // States and fault kinds use the hooks' conventions: 1-based S-states,
   // 0-based fault::FaultKind.
   /// The hottest hook by far (one per detector sample). Consecutive
   /// samples nearly always land in the cached bin, so they accumulate in
@@ -244,15 +244,9 @@ class TimeSeriesShard {
   /// Final bin contents are identical to the per-sample calls.
   void on_samples(sim::SimTime at, sim::SimDuration stride,
                   std::uint64_t count);
-  void on_transition(sim::SimTime at, int to);
-  void on_episode_opened(sim::SimTime at) { ++episodes_opened_[bin(at)]; }
-  void on_episode_closed(sim::SimTime at, sim::SimDuration length);
-  void on_sensor_gap(sim::SimTime at, sim::SimDuration gap);
-  void on_fault(sim::SimTime at, int kind);
-  void on_serve_ingest(sim::SimTime at) { ++serve_ingests_[bin(at)]; }
-  void on_serve_queries(sim::SimTime at, std::uint64_t n) {
-    serve_queries_[bin(at)] += n;
-  }
+  /// Bins one event of a kind the shard counts: state transitions,
+  /// faults, episode opens/closes, sensor gaps, serve ingests and queries.
+  void record(const FlightEvent& e);
 
   sim::SimTime start() const { return start_; }
   sim::SimTime end() const { return end_; }
@@ -261,7 +255,7 @@ class TimeSeriesShard {
 
   /// Total detector samples across all bins. The binned detector-sample
   /// fast path defers the shard/registry total to this sum (see
-  /// Observer::on_detector_sample).
+  /// obs::detector_samples).
   std::uint64_t total_samples() const {
     flush_pending();
     std::uint64_t total = 0;
@@ -363,32 +357,11 @@ class TimeSeriesScope {
   TimeSeriesShard* previous_;
 };
 
-/// Periodic whole-registry snapshotter. Call sample(now) on a fixed
-/// sim-time cadence (e.g. from Simulation::every); each call appends the
-/// current value of every registered series that changed since the last
-/// call. finish() seals the segment.
-class TimeSeriesRecorder {
- public:
-  TimeSeriesRecorder(const MetricRegistry& registry, const std::string& path,
-                     sim::SimTime start, sim::SimTime end,
-                     sim::SimDuration resolution);
-  ~TimeSeriesRecorder();
-
-  TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
-  TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
-
-  void sample(sim::SimTime now);
-  void finish() { writer_.finish(); }
-
-  MetricsWriterV1& writer() { return writer_; }
-
- private:
-  void emit(std::string_view name, SeriesKind kind, sim::SimTime now,
-            double value);
-
-  const MetricRegistry* registry_;
-  MetricsWriterV1 writer_;
-  std::map<std::string, double, std::less<>> last_;  // change suppression
-};
+/// Writes one sample of every series in `registry`, stamped at `at`, as
+/// an FGCSMET1 segment at `path` over the one-hour horizon
+/// [at, at + 1 h). Histogram buckets that never counted are left out.
+/// Throws IoError when the segment cannot be written.
+void write_registry_snapshot(const MetricRegistry& registry,
+                             const std::string& path, sim::SimTime at);
 
 }  // namespace fgcs::obs

@@ -82,20 +82,6 @@ void TraceSink::instant(std::string_view category, std::string_view name,
   push(std::move(e));
 }
 
-void TraceSink::counter(std::string_view category, std::string_view name,
-                        sim::SimTime at, std::uint32_t track, double value) {
-  Event e;
-  e.phase = Phase::kCounter;
-  e.name = std::string(name);
-  e.category = std::string(category);
-  e.ts_us = at.as_micros();
-  e.track = track;
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "\"value\":%.17g", value);
-  e.args = buf;
-  push(std::move(e));
-}
-
 void TraceSink::name_track(std::uint32_t track, std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [id, existing] : track_names_) {

@@ -1,11 +1,11 @@
 // Structured trace-event sink keyed on *simulated* time.
 //
 // Events follow the Chrome trace-event model (load the JSON output in
-// chrome://tracing or https://ui.perfetto.dev): complete spans ("X"),
-// instant events ("i"), and counter series ("C"), each with a category,
-// a microsecond timestamp, and a track id. Timestamps are sim::SimTime
-// microseconds, so the rendered timeline is the *simulation's* timeline —
-// a 92-day testbed run shows up as 92 days, whatever wall clock it took.
+// chrome://tracing or https://ui.perfetto.dev): complete spans ("X") and
+// instant events ("i"), each with a category, a microsecond timestamp,
+// and a track id. Timestamps are sim::SimTime microseconds, so the
+// rendered timeline is the *simulation's* timeline — a 92-day testbed run
+// shows up as 92 days, whatever wall clock it took.
 //
 // Tracks map to Perfetto threads (pid 1, tid = track); the testbed assigns
 // one track per machine. A bounded sink keeps the most recent `capacity`
@@ -29,7 +29,6 @@ class TraceSink {
   enum class Phase : char {
     kComplete = 'X',
     kInstant = 'i',
-    kCounter = 'C',
   };
 
   struct Event {
@@ -58,10 +57,6 @@ class TraceSink {
   /// A zero-duration marker.
   void instant(std::string_view category, std::string_view name,
                sim::SimTime at, std::uint32_t track, std::string args = {});
-
-  /// One point of a numeric counter series (rendered as a chart row).
-  void counter(std::string_view category, std::string_view name,
-               sim::SimTime at, std::uint32_t track, double value);
 
   /// Names a track in the rendered UI (Perfetto thread name).
   void name_track(std::uint32_t track, std::string_view name);

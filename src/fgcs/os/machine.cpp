@@ -262,10 +262,8 @@ void Machine::step_tick(sim::SimTime until) {
     }
     totals_.idle += skipped;
     now_ += skipped;
-    if (auto* o = obs::observer()) {
-      o->on_machine_tick(last_runner_ != -1, 0);
-      if (k > 1) o->on_machine_ticks_skipped(static_cast<std::uint64_t>(k - 1));
-    }
+    obs::scheduler_ticks(last_runner_ != -1, 0,
+                         static_cast<std::uint64_t>(k - 1));
     last_runner_ = -1;
     return;
   }
@@ -329,11 +327,8 @@ void Machine::step_tick(sim::SimTime until) {
   // Time lost to page faults shows up as non-CPU (I/O wait -> idle).
   totals_.idle += (tick - progress) * k;
 
-  if (auto* o = obs::observer()) {
-    o->on_machine_tick(static_cast<std::int64_t>(rp.pid()) != last_runner_,
-                       runnable_count);
-    if (k > 1) o->on_machine_ticks_skipped(static_cast<std::uint64_t>(k - 1));
-  }
+  obs::scheduler_ticks(static_cast<std::int64_t>(rp.pid()) != last_runner_,
+                       runnable_count, static_cast<std::uint64_t>(k - 1));
   last_runner_ = static_cast<std::int64_t>(rp.pid());
 
   // A completing phase is stamped with the *start* of its final tick,

@@ -73,7 +73,7 @@ void AvailabilityFeed::ingest(const trace::UnavailabilityRecord& record) {
 
   ++events_;
   ++since_publish_;
-  if (obs::Observer* obs = obs::observer()) obs->on_serve_ingest(record.end);
+  obs::emit(obs::FlightEventKind::kServeIngest, record.end);
   if (config_.publish_every != 0 && since_publish_ >= config_.publish_every) {
     publish_locked();
   }
@@ -118,7 +118,7 @@ void AvailabilityFeed::publish_locked() {
   next->machines.assign(build_.begin(), build_.end());
   snapshot_.store(std::move(next), std::memory_order_release);
   since_publish_ = 0;
-  if (obs::Observer* obs = obs::observer()) obs->on_serve_snapshot_swap();
+  obs::emit({.kind = obs::FlightEventKind::kSnapshotSwap});
 }
 
 void AvailabilityFeed::publish() {

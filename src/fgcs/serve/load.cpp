@@ -269,13 +269,9 @@ LoadStats run_load(const QueryEngine& engine, const LoadGenerator& gen,
   // One batched serve.queries bump for the whole range, stamped at the
   // load's nominal arrival time — per-call bumps would dominate the very
   // loop this function exists to measure.
-  if (stats.queries > 0) {
-    if (obs::Observer* obs = obs::observer()) {
-      obs->on_serve_queries(
-          sim::SimTime::from_seconds(gen.spec().at_hours * 3600.0),
-          stats.queries);
-    }
-  }
+  obs::emit({.at = sim::SimTime::from_seconds(gen.spec().at_hours * 3600.0),
+             .kind = obs::FlightEventKind::kServeQueries,
+             .count = stats.queries});
   return stats;
 }
 

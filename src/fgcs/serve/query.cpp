@@ -41,7 +41,8 @@ QueryAnswer evaluate(const MachineState& state, const FeedConfig& config,
 QueryAnswer QueryEngine::query(const ServeQuery& q) const {
   const auto snap = pin();
   const QueryAnswer answer = query(*snap, q);
-  if (obs::Observer* obs = obs::observer()) obs->on_serve_queries(q.at, 1);
+  obs::emit(
+      {.at = q.at, .kind = obs::FlightEventKind::kServeQueries, .count = 1});
   return answer;
 }
 
@@ -64,9 +65,9 @@ std::vector<double> QueryEngine::p_available_fleet(
   for (const auto& state : snap.machines) {
     out.push_back(evaluate(*state, snap.config, at, window).p_available);
   }
-  if (obs::Observer* obs = obs::observer()) {
-    obs->on_serve_queries(at, out.size());
-  }
+  obs::emit({.at = at,
+             .kind = obs::FlightEventKind::kServeQueries,
+             .count = out.size()});
   return out;
 }
 

@@ -49,13 +49,11 @@ EventHandle Simulation::every(SimDuration period, EventQueue::Callback task) {
   return EventHandle(state->cancelled);
 }
 
-// The observer is sampled once per run, not per event: installation
-// mid-run is not a supported pattern, and sampling it once per run keeps
-// the event loop itself free of observer work — the queue's plain stats
-// (including the live high-water mark) carry everything the flush needs.
+// Telemetry is reported once per run, not per event: the queue's plain
+// stats (including the live high-water mark) carry everything the flush
+// needs, so the event loop itself does no telemetry work.
 void Simulation::run_until(SimTime until) {
   stop_requested_ = false;
-  obs::Observer* const o = obs::observer();
   const SimTime begin = now_;
   const std::uint64_t events_before = events_executed_;
   while (!queue_.empty() && !stop_requested_) {
@@ -66,14 +64,11 @@ void Simulation::run_until(SimTime until) {
     ++events_executed_;
   }
   if (now_ < until) now_ = until;
-  if (o != nullptr) {
-    flush_obs(o, "run_until", begin, events_executed_ - events_before);
-  }
+  flush_obs(false, begin, events_executed_ - events_before);
 }
 
 void Simulation::run_all() {
   stop_requested_ = false;
-  obs::Observer* const o = obs::observer();
   const SimTime begin = now_;
   const std::uint64_t events_before = events_executed_;
   while (!queue_.empty() && !stop_requested_) {
@@ -81,22 +76,21 @@ void Simulation::run_all() {
     queue_.run_next(&now_);
     ++events_executed_;
   }
-  if (o != nullptr) {
-    flush_obs(o, "run_all", begin, events_executed_ - events_before);
-  }
+  flush_obs(true, begin, events_executed_ - events_before);
 }
 
-// One observer update per run: per-event costs stay in plain queue
-// counters, so enabling telemetry adds no work at all to the event loop.
-void Simulation::flush_obs(obs::Observer* o, const char* what, SimTime begin,
-                           std::uint64_t events) {
+void Simulation::flush_obs(bool run_all, SimTime begin, std::uint64_t events) {
   const SimEventStats stats = queue_.drain_stats();
-  // Depth is the queue's peak pending-event count over the run — the
-  // executing event is not counted (unlike on_sim_event's convention).
-  o->on_sim_batch(events, static_cast<double>(stats.max_live),
-                  stats.scheduled, stats.spilled, stats.cancelled,
-                  stats.compactions, stats.compacted);
-  if (events > 0) o->on_sim_run(what, begin, now_, events);
+  obs::sim_batch({.run_all = run_all,
+                  .begin = begin,
+                  .end = now_,
+                  .executed = events,
+                  .max_depth = static_cast<double>(stats.max_live),
+                  .scheduled = stats.scheduled,
+                  .spilled = stats.spilled,
+                  .cancelled = stats.cancelled,
+                  .compactions = stats.compactions,
+                  .compacted = stats.compacted});
 }
 
 }  // namespace fgcs::sim

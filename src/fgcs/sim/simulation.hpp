@@ -11,10 +11,6 @@
 #include "fgcs/sim/event_queue.hpp"
 #include "fgcs/sim/time.hpp"
 
-namespace fgcs::obs {
-class Observer;
-}  // namespace fgcs::obs
-
 namespace fgcs::sim {
 
 class Simulation {
@@ -56,10 +52,10 @@ class Simulation {
  private:
   struct PeriodicState;
   void fire_periodic(const std::shared_ptr<PeriodicState>& state);
-  /// Drains the queue's scheduling stats and reports one observer batch
-  /// (plus the run's trace span) — the only observer touch per run.
-  void flush_obs(obs::Observer* o, const char* what, SimTime begin,
-                 std::uint64_t events);
+  /// Drains the queue's scheduling stats and reports them as one
+  /// telemetry batch (plus the run's trace span) — the only telemetry
+  /// touch per run.
+  void flush_obs(bool run_all, SimTime begin, std::uint64_t events);
 
   EventQueue queue_;
   SimTime now_ = SimTime::epoch();

@@ -1,11 +1,15 @@
 // The sharded fleet sweep engine: bit-identity with run_testbed, spill
-// segments, deterministic partitioning, and obs shard merging.
+// segments, deterministic partitioning, obs shard merging, and
+// telemetry isolation between concurrent sweeps.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fgcs/fleet/fleet.hpp"
@@ -216,6 +220,61 @@ TEST_F(FleetSweep, ShardCountersFoldIntoTheObserver) {
             observer.metrics().counter("detector.episodes_opened").value());
   EXPECT_EQ(direct.metrics().counter("sim.events_executed").value(),
             observer.metrics().counter("sim.events_executed").value());
+}
+
+// Two telemetry-on sweeps at once: B starts while A runs, and B's second
+// machine waits until A has returned. The hooks fold into each worker's
+// own scopes with no Observer installed, so B's metrics segment and state
+// blobs equal those of a sweep that ran alone.
+TEST_F(FleetSweep, OverlappingTelemetrySweepsDoNotInterfere) {
+  const auto telemetry_config = [&](const std::string& name) {
+    FleetConfig config;
+    config.testbed = small_testbed();
+    config.testbed.machines = 4;
+    config.shard_machines = 2;
+    config.threads = 1;
+    config.spill_dir = (dir_ / name).string();
+    config.metrics_path = (dir_ / (name + ".met1")).string();
+    return config;
+  };
+  run_fleet(telemetry_config("alone"));
+
+  std::latch b_started(1);
+  std::latch a_returned(1);
+  std::atomic<int> observed{0};
+  const auto note_observer = [&] {
+    if (obs::observer() != nullptr) ++observed;
+  };
+  FleetConfig a = telemetry_config("a");
+  a.machine_hook = [&](trace::MachineId machine, int) {
+    note_observer();
+    if (machine == 1) b_started.wait();
+  };
+  FleetConfig b = telemetry_config("b");
+  b.machine_hook = [&](trace::MachineId machine, int) {
+    note_observer();
+    if (machine == 0) b_started.count_down();
+    if (machine == 1) a_returned.wait();
+  };
+  std::thread sweep_a([&] {
+    run_fleet(a);
+    a_returned.count_down();
+  });
+  std::thread sweep_b([&] { run_fleet(b); });
+  sweep_a.join();
+  sweep_b.join();
+
+  EXPECT_EQ(observed.load(), 0);
+  EXPECT_EQ(obs::observer(), nullptr);
+  const auto read_all = [](const fs::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(read_all(dir_ / "b.met1"), read_all(dir_ / "alone.met1"));
+  for (const char* state : {"shard-0000.state", "shard-0001.state"}) {
+    EXPECT_EQ(read_all(dir_ / "b" / state), read_all(dir_ / "alone" / state))
+        << state;
+  }
 }
 
 TEST_F(FleetSweep, SpillDirectoryIsCreated) {

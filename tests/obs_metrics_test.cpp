@@ -1,5 +1,5 @@
 // Counter/gauge/histogram semantics, labeled families, concurrent
-// increments, and the CSV/JSON snapshot exports.
+// increments, and the CSV snapshot export.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,7 +8,6 @@
 #include "fgcs/util/csv.hpp"
 #include "fgcs/util/error.hpp"
 #include "fgcs/util/parallel.hpp"
-#include "json_mini.hpp"
 
 namespace fgcs::obs {
 namespace {
@@ -139,35 +138,6 @@ TEST(MetricRegistry, CsvSnapshotRoundTrips) {
     }
   }
   EXPECT_TRUE(saw_transition);
-}
-
-TEST(MetricRegistry, JsonSnapshotParsesBack) {
-  MetricRegistry registry;
-  registry.counter("a.count").inc(5);
-  registry.gauge("b.gauge").set(2.25);
-  auto& h = registry.histogram("c.hist", {{"k", "v"}}, {1.0, 10.0});
-  h.observe(0.5);
-  h.observe(50.0);
-
-  std::stringstream out;
-  registry.write_json(out);
-  const auto doc = testing::JsonParser::parse(out.str());
-
-  ASSERT_TRUE(doc.is_array());
-  ASSERT_EQ(doc.array.size(), 3u);
-  bool saw_hist = false;
-  for (const auto& metric : doc.array) {
-    if (metric.at("name").string != "c.hist") continue;
-    saw_hist = true;
-    EXPECT_EQ(metric.at("type").string, "histogram");
-    EXPECT_EQ(metric.at("labels").at("k").string, "v");
-    EXPECT_DOUBLE_EQ(metric.at("count").number, 2.0);
-    EXPECT_DOUBLE_EQ(metric.at("sum").number, 50.5);
-    ASSERT_EQ(metric.at("buckets").array.size(), 3u);
-    EXPECT_DOUBLE_EQ(metric.at("buckets").array[0].number, 1.0);
-    EXPECT_DOUBLE_EQ(metric.at("buckets").array[2].number, 1.0);
-  }
-  EXPECT_TRUE(saw_hist);
 }
 
 TEST(MetricSample, SeriesRendering) {

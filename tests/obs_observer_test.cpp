@@ -1,12 +1,18 @@
 // Observer: pre-registered metric series, install/restore semantics,
-// track scoping, profiling scopes, and the disabled-path guarantees
-// (zero allocations when no observer is installed).
+// track scoping, profiling scopes, and the allocation guarantees (zero
+// allocations when no observer is installed, none added by a sweep's
+// telemetry).
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <string>
 
+#include "fgcs/fleet/fleet.hpp"
 #include "fgcs/monitor/detector.hpp"
 #include "fgcs/obs/observer.hpp"
 #include "fgcs/sim/time.hpp"
@@ -89,13 +95,14 @@ TEST(Observer, TrackScopeNests) {
 
 TEST(Observer, SimHooksUpdateMetrics) {
   Observer obs;
-  obs.on_sim_event(3);  // depth after pop: max depth was 4
-  obs.on_sim_event(0);
+  ScopedObserver guard(&obs);
+  sim_batch({.begin = SimTime::epoch(),
+             .end = SimTime::epoch() + SimDuration::seconds(10),
+             .executed = 2,
+             .max_depth = 4.0});
   EXPECT_EQ(obs.metrics().counter("sim.events_executed").value(), 2u);
   EXPECT_DOUBLE_EQ(obs.metrics().gauge("sim.max_queue_depth").value(), 4.0);
 
-  obs.on_sim_run("run_until", SimTime::epoch(),
-                 SimTime::epoch() + SimDuration::seconds(10), 2);
   ASSERT_EQ(obs.trace().size(), 1u);
   EXPECT_EQ(obs.trace().events()[0].name, "run_until");
   EXPECT_EQ(obs.trace().events()[0].dur_us, 10'000'000);
@@ -103,10 +110,11 @@ TEST(Observer, SimHooksUpdateMetrics) {
 
 TEST(Observer, DetectorTransitionHitsTheRightCell) {
   Observer obs;
+  ScopedObserver guard(&obs);
   const SimTime at = SimTime::from_seconds(60.0);
-  obs.on_detector_transition(at, 1, 3);
-  obs.on_detector_transition(at, 1, 3);
-  obs.on_detector_transition(at, 3, 1);
+  emit(FlightEventKind::kStateTransition, at, 1, 3);
+  emit(FlightEventKind::kStateTransition, at, 1, 3);
+  emit(FlightEventKind::kStateTransition, at, 3, 1);
 
   auto& s1_s3 = obs.metrics().counter("detector.transitions",
                                       {{"from", "S1"}, {"to", "S3"}});
@@ -124,17 +132,22 @@ TEST(Observer, DetectorTransitionHitsTheRightCell) {
   EXPECT_EQ(obs.trace().events()[2].name, "S3->S1");
 
   // Out-of-range states are tolerated (defensive; the detector never
-  // produces them) and counted nowhere.
-  obs.on_detector_transition(at, 0, 9);
-  EXPECT_EQ(obs.trace().events()[3].name, "S?->S?");
+  // produces them) and recorded nowhere.
+  emit(FlightEventKind::kStateTransition, at, 0, 9);
+  EXPECT_EQ(obs.trace().size(), 3u);
 }
 
 TEST(Observer, EpisodeCloseEmitsInstantAndSpan) {
   Observer obs;
+  ScopedObserver guard(&obs);
   const SimTime open_at = SimTime::from_seconds(100.0);
-  obs.on_episode_opened(open_at, 3, 0.95, 800.0);
-  obs.on_episode_closed(open_at + SimDuration::seconds(50), 3,
-                        SimDuration::seconds(50));
+  emit({.at = open_at,
+        .kind = FlightEventKind::kEpisodeOpened,
+        .a = 3,
+        .host_cpu = 0.95,
+        .free_mem_mb = 800.0});
+  emit(FlightEventKind::kEpisodeClosed, open_at + SimDuration::seconds(50), 3,
+       0, SimDuration::seconds(50));
 
   EXPECT_EQ(obs.metrics().counter("detector.episodes_opened").value(), 1u);
   EXPECT_EQ(obs.metrics().counter("detector.episodes_closed").value(), 1u);
@@ -142,6 +155,8 @@ TEST(Observer, EpisodeCloseEmitsInstantAndSpan) {
   const auto events = obs.trace().events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].name, "episode_open");
+  EXPECT_EQ(events[0].args,
+            "\"cause\":\"S3\",\"host_cpu\":0.9500,\"free_mem_mb\":800.0");
   EXPECT_EQ(events[1].name, "episode_close");
   // The span covers [open, close] and is named by the causing state.
   EXPECT_EQ(events[2].name, "S3");
@@ -154,8 +169,9 @@ TEST(Observer, TraceDisabledStillCountsMetrics) {
   Observer::Options options;
   options.enable_trace = false;
   Observer obs(options);
-  obs.on_detector_transition(SimTime::epoch(), 1, 3);
-  obs.on_episode_opened(SimTime::epoch(), 3, 0.9, 500.0);
+  ScopedObserver guard(&obs);
+  emit(FlightEventKind::kStateTransition, SimTime::epoch(), 1, 3);
+  emit(FlightEventKind::kEpisodeOpened, SimTime::epoch(), 3);
   EXPECT_EQ(obs.trace().size(), 0u);
   EXPECT_EQ(obs.metrics()
                 .counter("detector.transitions", {{"from", "S1"}, {"to", "S3"}})
@@ -204,6 +220,43 @@ TEST(Observer, DisabledObserverAllocatesNothing) {
   const std::uint64_t after =
       g_allocation_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
+}
+
+// Heap allocations of one spilled, checkpointed 64-machine x 92-day shard
+// between the hooks of its 9th and its last machine: the steady state,
+// after the shard's buffers have warmed.
+std::uint64_t steady_state_allocations(const std::filesystem::path& dir,
+                                       bool telemetry) {
+  fleet::FleetConfig config;
+  config.testbed.machines = 64;
+  config.testbed.days = 92;
+  config.shard_machines = 64;
+  config.threads = 1;
+  config.spill_dir = (dir / (telemetry ? "on" : "off")).string();
+  if (telemetry) config.metrics_path = (dir / "fleet.met1").string();
+  std::uint64_t from = 0;
+  std::uint64_t to = 0;
+  config.machine_hook = [&](trace::MachineId machine, int) {
+    if (machine == 8) from = g_allocation_count.load();
+    if (machine == 63) to = g_allocation_count.load();
+  };
+  fleet::run_fleet(config);
+  return to - from;
+}
+
+// Telemetry folds into the worker's scopes, which allocate nothing per
+// machine: a telemetry-on sweep makes exactly the allocations of a
+// telemetry-off one.
+TEST(Observer, TelemetryAddsNoHeapAllocationsToASweep) {
+  ASSERT_EQ(observer(), nullptr);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("fgcs_obs_allocs_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::uint64_t without = steady_state_allocations(dir, false);
+  const std::uint64_t with = steady_state_allocations(dir, true);
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(with, without);
 }
 
 }  // namespace

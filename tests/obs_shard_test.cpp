@@ -17,16 +17,12 @@ TEST(ObsShard, HooksBumpTheInstalledShardInsteadOfTheRegistry) {
   {
     ShardScope scope(&shard);
     ASSERT_EQ(current_shard(), &shard);
-    observer.on_sim_event(4);
-    observer.on_sim_event(9);
-    observer.on_sim_schedule(true);
-    observer.on_sim_schedule(false);
-    observer.on_detector_sample(sim::SimTime::epoch());
-    observer.on_machine_tick(true, 3);
-    observer.on_machine_ticks_skipped(17);
-    observer.on_fault_injected(1, sim::SimTime::epoch(),
-                               sim::SimDuration::minutes(5));
-    observer.on_detector_transition(sim::SimTime::epoch(), 1, 3);
+    sim_batch({.executed = 2, .max_depth = 10.0, .scheduled = 2, .spilled = 1});
+    detector_samples(sim::SimTime::epoch(), {}, 1);
+    scheduler_ticks(true, 3, 17);
+    emit(FlightEventKind::kFaultInjected, sim::SimTime::epoch(), 1, 0,
+         sim::SimDuration::minutes(5));
+    emit(FlightEventKind::kStateTransition, sim::SimTime::epoch(), 1, 3);
   }
   EXPECT_EQ(current_shard(), nullptr);
 
@@ -91,14 +87,15 @@ TEST(ObsShard, ScopesNestAndRestore) {
 }
 
 TEST(ObsShard, HooksAreSafeWithShardButNoObserver) {
-  // Shard installed, no global observer: hooks called through an Observer
-  // instance still write to the shard; free-standing sites check the
-  // observer pointer first and skip entirely.
-  Observer observer;
+  // Shard installed, no global observer: the hooks still fold into the
+  // shard — a sweep worker needs no Observer to collect its counters.
+  ASSERT_EQ(observer(), nullptr);
   CounterShard shard;
   ShardScope scope(&shard);
-  observer.on_sim_event(1);
+  sim_batch({.executed = 1});
+  emit(FlightEventKind::kEpisodeOpened, sim::SimTime::epoch(), 3);
   EXPECT_EQ(shard.sim_events_executed, 1u);
+  EXPECT_EQ(shard.detector_episodes_opened, 1u);
 }
 
 TEST(HistogramDerivedCount, CountIsTheSumOfTheBuckets) {

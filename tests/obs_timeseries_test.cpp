@@ -129,7 +129,10 @@ TEST(ObsTimeSeries, AddFoldsShardsWithMatchingGeometry) {
   a.on_sample(start + SimDuration::minutes(10));
   b.on_sample(start + SimDuration::minutes(20));
   b.on_sample(start + SimDuration::minutes(70));
-  b.on_transition(start + SimDuration::minutes(70), 3);
+  b.record({.at = start + SimDuration::minutes(70),
+            .kind = FlightEventKind::kStateTransition,
+            .a = 1,
+            .b = 3});
   a.add(b);
   EXPECT_EQ(a.total_samples(), 3u);
   EXPECT_EQ(b.total_samples(), 2u);  // add() must not disturb the source
@@ -143,9 +146,11 @@ TEST(ObsTimeSeries, SegmentBytesAreDeterministic) {
     for (int i = 0; i < 500; ++i) {
       shard.on_sample(start + SimDuration::minutes(i));
     }
-    shard.on_episode_opened(start + SimDuration::hours(1));
-    shard.on_episode_closed(start + SimDuration::hours(2),
-                            SimDuration::minutes(45));
+    shard.record({.at = start + SimDuration::hours(1),
+                  .kind = FlightEventKind::kEpisodeOpened});
+    shard.record({.at = start + SimDuration::hours(2),
+                  .kind = FlightEventKind::kEpisodeClosed,
+                  .dur = SimDuration::minutes(45)});
     MetricsWriterV1 writer(path, start, end, SimDuration::hours(1));
     shard.write_series(writer, {{"shard", "0001"}});
     writer.finish();

@@ -18,18 +18,16 @@ TEST(TraceSink, RecordsEventsInOrder) {
   sink.instant("cat", "first", SimTime::from_micros(10), 1);
   sink.complete("cat", "second", SimTime::from_micros(20),
                 SimDuration::micros(5), 2, "\"k\":1");
-  sink.counter("cat", "depth", SimTime::from_micros(30), 3, 7.0);
 
   const auto events = sink.events();
-  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].name, "first");
   EXPECT_EQ(events[0].phase, TraceSink::Phase::kInstant);
   EXPECT_EQ(events[0].ts_us, 10);
   EXPECT_EQ(events[1].phase, TraceSink::Phase::kComplete);
   EXPECT_EQ(events[1].dur_us, 5);
   EXPECT_EQ(events[1].track, 2u);
-  EXPECT_EQ(events[2].phase, TraceSink::Phase::kCounter);
-  EXPECT_EQ(sink.total_recorded(), 3u);
+  EXPECT_EQ(sink.total_recorded(), 2u);
   EXPECT_EQ(sink.dropped(), 0u);
 }
 
@@ -77,7 +75,6 @@ TEST(TraceSink, ChromeJsonParsesBack) {
   sink.instant("detector", "S1->S3", SimTime::from_seconds(3600.0), 0);
   sink.complete("testbed", "simulate_machine", SimTime::epoch(),
                 SimDuration::days(1), 0, "\"episodes\":3,\"samples\":5760");
-  sink.counter("sim", "queue_depth", SimTime::from_micros(42), 0, 2.0);
 
   std::stringstream out;
   sink.write_chrome_json(out);
@@ -86,7 +83,7 @@ TEST(TraceSink, ChromeJsonParsesBack) {
   ASSERT_TRUE(doc.is_object());
   const auto& events = doc.at("traceEvents");
   ASSERT_TRUE(events.is_array());
-  ASSERT_EQ(events.array.size(), 4u);  // metadata + 3 events
+  ASSERT_EQ(events.array.size(), 3u);  // metadata + 2 events
 
   const auto& meta = events.array[0];
   EXPECT_EQ(meta.at("ph").string, "M");
@@ -102,10 +99,6 @@ TEST(TraceSink, ChromeJsonParsesBack) {
   EXPECT_EQ(span.at("ph").string, "X");
   EXPECT_DOUBLE_EQ(span.at("dur").number, 86400e6);
   EXPECT_DOUBLE_EQ(span.at("args").at("episodes").number, 3.0);
-
-  const auto& counter = events.array[3];
-  EXPECT_EQ(counter.at("ph").string, "C");
-  EXPECT_DOUBLE_EQ(counter.at("args").at("value").number, 2.0);
 }
 
 TEST(TraceSink, JsonEscapesAwkwardNames) {

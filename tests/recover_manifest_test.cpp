@@ -3,6 +3,8 @@
 // plan_resume's validate-everything semantics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -62,10 +64,11 @@ SweepIdentity sample_identity() {
 class ManifestDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Per test and per process: ctest -j runs each case in its own
+    // process, all at once.
     dir_ = (fs::temp_directory_path() /
-            ("recover_manifest_test." +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
+            ("recover_manifest_test." + std::to_string(::getpid()) + "." +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                .string();
     fs::remove_all(dir_);
     fs::create_directories(dir_);

@@ -181,12 +181,12 @@ TEST(ServeFeed, ObserverSeamDeliversEpisodesAndCountsIngests) {
   obs::ScopedObserver guard(&observer);
   obs::TrackScope track(3);
 
-  observer.on_episode_opened(SimTime::epoch() + SimDuration::from_seconds(1.0 * 3600.0),
-                             static_cast<int>(AvailabilityState::kS5MachineUnavailable),
-                             0.9, 64.0);
-  observer.on_episode_closed(SimTime::epoch() + SimDuration::from_seconds(1.5 * 3600.0),
-                             static_cast<int>(AvailabilityState::kS5MachineUnavailable),
-                             SimDuration::from_seconds(0.5 * 3600.0));
+  const int cause = static_cast<int>(AvailabilityState::kS5MachineUnavailable);
+  obs::emit(obs::FlightEventKind::kEpisodeOpened,
+            SimTime::epoch() + SimDuration::from_seconds(1.0 * 3600.0), cause);
+  obs::emit(obs::FlightEventKind::kEpisodeClosed,
+            SimTime::epoch() + SimDuration::from_seconds(1.5 * 3600.0), cause,
+            0, SimDuration::from_seconds(0.5 * 3600.0));
 
   EXPECT_EQ(feed.events_ingested(), 1u);
   feed.publish();

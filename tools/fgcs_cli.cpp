@@ -314,12 +314,8 @@ class ObsSession {
       // Single final snapshot of every registered series, stamped at the
       // sim epoch: enough for `fgcs stats --op value` over any command's
       // end-state. The fleet command writes real binned series instead.
-      obs::TimeSeriesRecorder recorder(observer_->metrics(), ts_path_,
-                                       sim::SimTime::epoch(),
-                                       sim::SimTime::epoch(),
-                                       sim::SimDuration::hours(1));
-      recorder.sample(sim::SimTime::epoch());
-      recorder.finish();
+      obs::write_registry_snapshot(observer_->metrics(), ts_path_,
+                                   sim::SimTime::epoch());
       std::printf("wrote metrics time-series snapshot to %s\n",
                   ts_path_.c_str());
     }
@@ -1043,14 +1039,17 @@ int cmd_serve(const Args& args) {
   serve::AvailabilityFeed feed(fc);
 
   // Subscribe the feed to episode events. ObsSession may already have
-  // installed an observer (obs flags); otherwise install a local one for
-  // the duration of the run. Either way the sink is detached before the
-  // feed goes out of scope.
+  // installed an observer (obs flags); otherwise install a metrics-only
+  // one for the duration of the run — the event sink is the only surface
+  // it is there for. Either way the sink is detached before the feed
+  // goes out of scope.
   std::unique_ptr<obs::Observer> local;
   obs::Observer* observer = obs::observer();
   std::optional<obs::ScopedObserver> guard;
   if (observer == nullptr) {
-    local = std::make_unique<obs::Observer>();
+    obs::Observer::Options options;
+    options.enable_trace = false;
+    local = std::make_unique<obs::Observer>(options);
     observer = local.get();
     observer->set_event_sink(&feed);  // attach before install
     guard.emplace(observer);
