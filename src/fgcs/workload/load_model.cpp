@@ -86,25 +86,123 @@ const LoadPoint& LoadTrajectory::Cursor::at(SimTime t) {
 
 void LoadOverlay::add_cpu(SimTime start, SimTime end, double cpu) {
   fgcs::require(end > start, "LoadOverlay: empty cpu interval");
-  deltas_.push_back({start, cpu, 0.0});
-  deltas_.push_back({end, -cpu, 0.0});
+  add(start, end, cpu, 0.0);
 }
 
 void LoadOverlay::add_mem(SimTime start, SimTime end, double mem_mb) {
   fgcs::require(end > start, "LoadOverlay: empty mem interval");
-  deltas_.push_back({start, 0.0, mem_mb});
-  deltas_.push_back({end, 0.0, -mem_mb});
+  add(start, end, 0.0, mem_mb);
 }
 
-LoadTrajectory LoadOverlay::build(SimTime origin) const {
-  std::vector<LoadPoint> points;
-  sweep_into(origin, points);
-  return LoadTrajectory(std::move(points));
+void LoadOverlay::add(SimTime start, SimTime end, double cpu, double mem) {
+  fgcs::require(start >= cut_,
+                "LoadOverlay: interval starts before the last flush cut");
+  pending_.push_back({start, cpu, mem});
+  pending_.push_back({end, -cpu, -mem});
 }
 
-void LoadOverlay::build_into(SimTime origin,
-                             util::ArenaVector<LoadPoint>& out) const {
-  sweep_into(origin, out);
+void LoadOverlay::flush_before(SimTime cut,
+                               util::ArenaVector<LoadPoint>& out) {
+  sort_pending();
+  const auto stop = std::lower_bound(
+      pending_.begin(), pending_.end(), cut,
+      [](const Delta& d, SimTime c) { return d.t < c; });
+  sweep(static_cast<std::size_t>(stop - pending_.begin()), out);
+  cut_ = std::max(cut_, cut);
+}
+
+void LoadOverlay::build_into(util::ArenaVector<LoadPoint>& out) {
+  sort_pending();
+  sweep(pending_.size(), out);
+  cut_ = SimTime::max();
+}
+
+LoadTrajectory LoadOverlay::build() {
+  util::ArenaVector<LoadPoint> points{util::ArenaAllocator<LoadPoint>(arena())};
+  build_into(points);
+  return LoadTrajectory(std::vector<LoadPoint>(points.begin(), points.end()));
+}
+
+void LoadOverlay::sort_pending() {
+  const std::size_t n = pending_.size();
+  runs_.clear();
+  if (sorted_ > 0) runs_.push_back(0);
+  std::size_t end = sorted_;
+  while (end < n) {
+    runs_.push_back(end);
+    for (++end; end < n && !(pending_[end].t < pending_[end - 1].t); ++end) {
+    }
+    // Keep run lengths strictly decreasing toward the top of the stack
+    // (TimSort's rule, simplified): short runs merge with each other
+    // before they merge into a long one, so a long run is copied O(1)
+    // times per flush.
+    while (runs_.size() >= 2 &&
+           runs_.back() - runs_[runs_.size() - 2] <= end - runs_.back()) {
+      merge(runs_[runs_.size() - 2], runs_.back(), end);
+      runs_.pop_back();
+    }
+  }
+  while (runs_.size() >= 2) {
+    merge(runs_[runs_.size() - 2], runs_.back(), n);
+    runs_.pop_back();
+  }
+  sorted_ = n;
+}
+
+void LoadOverlay::merge(std::size_t lo, std::size_t mid, std::size_t hi) {
+  const auto earlier = [](const Delta& a, const Delta& b) { return a.t < b.t; };
+  Delta* const data = pending_.data();
+  Delta* const pivot = data + mid;
+  // Left deltas no later than the right run's first, and right deltas no
+  // earlier than the left run's last, are already in place.
+  Delta* const first = std::upper_bound(data + lo, pivot, *pivot, earlier);
+  Delta* const last = std::lower_bound(pivot, data + hi, pivot[-1], earlier);
+  if (first == pivot || pivot == last) return;
+  // Copy the shorter side out and merge into the gap it leaves; on equal
+  // times the left (earlier-inserted) delta goes first.
+  if (pivot - first <= last - pivot) {
+    scratch_.assign(first, pivot);
+    const Delta* a = scratch_.data();
+    const Delta* const a_end = a + scratch_.size();
+    const Delta* b = pivot;
+    Delta* out = first;
+    while (a != a_end && b != last) *out++ = b->t < a->t ? *b++ : *a++;
+    std::copy(a, a_end, out);
+  } else {
+    scratch_.assign(pivot, last);
+    const Delta* const b_begin = scratch_.data();
+    const Delta* b = b_begin + scratch_.size();
+    const Delta* a = pivot;
+    Delta* out = last;
+    while (a != first && b != b_begin) {
+      *--out = b[-1].t < a[-1].t ? *--a : *--b;
+    }
+    std::copy(b_begin, b, first);
+  }
+}
+
+void LoadOverlay::sweep(std::size_t count, util::ArenaVector<LoadPoint>& out) {
+  if (out.empty()) out.push_back({origin_, 0.0, 0.0});
+  std::size_t i = 0;
+  while (i < count) {
+    const SimTime t = pending_[i].t;
+    for (; i < count && pending_[i].t == t; ++i) {
+      cpu_ += pending_[i].cpu;
+      mem_ += pending_[i].mem;
+    }
+    // Numerical noise from +=/-= pairs can leave tiny negatives.
+    const double cpu_val = std::clamp(cpu_, 0.0, 1.0);
+    const double mem_val = std::max(0.0, mem_);
+    if (t <= out.back().t) {
+      out.back().cpu = cpu_val;
+      out.back().mem_mb = mem_val;
+    } else {
+      out.push_back({t, cpu_val, mem_val});
+    }
+  }
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(count));
+  sorted_ = pending_.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -247,6 +345,13 @@ void LabProfile::validate() const {
   }
   fgcs::require(cpu_episode_mean_minutes > 0, "cpu episode mean must be > 0");
   fgcs::require(mem_episode_mean_minutes > 0, "mem episode mean must be > 0");
+  fgcs::require(busy_episode_mean_minutes > 0,
+                "busy episode mean must be > 0");
+  fgcs::require(cpu_episode_sigma_log >= 0 && mem_episode_sigma_log >= 0 &&
+                    busy_episode_sigma_log >= 0,
+                "episode sigma_log must be >= 0");
+  fgcs::require(base_noise_period.as_micros() > 0,
+                "base_noise_period must be > 0");
   fgcs::require(cpu_episode_load_lo <= cpu_episode_load_hi &&
                     cpu_episode_load_lo > 0 && cpu_episode_load_hi <= 1.0,
                 "cpu episode load bounds invalid");
@@ -257,6 +362,8 @@ void LabProfile::validate() const {
                 "updatedb_hour must be an hour of day");
   fgcs::require(reboot_rate_per_day >= 0 && failure_rate_per_day >= 0,
                 "URR rates must be >= 0");
+  fgcs::require(failure_downtime_mean_hours > 0,
+                "failure downtime mean must be > 0");
   fgcs::require(spike_rate_per_day >= 0, "spike rate must be >= 0");
   fgcs::require(spike_min_seconds > 0 && spike_max_seconds >= spike_min_seconds,
                 "spike duration bounds invalid");
@@ -329,9 +436,14 @@ void generate_machine_load_into(const LabProfile& profile, std::uint64_t seed,
                                 ArenaLoadTrace& out) {
   fgcs::require(days > 0, "trace horizon must be at least one day");
 
-  LoadOverlay ov(arena);
-  util::ArenaVector<Downtime> downtimes{util::ArenaAllocator<Downtime>(arena)};
   const SimTime epoch = SimTime::epoch();
+  LoadOverlay ov(epoch, arena);
+  util::ArenaVector<Downtime> downtimes{util::ArenaAllocator<Downtime>(arena)};
+  struct Span {
+    SimTime start;
+    SimDuration dur;
+  };
+  util::ArenaVector<Span> cpu_episodes{util::ArenaAllocator<Span>(arena)};
 
   for (int day = 0; day < days; ++day) {
     util::RngStream rng(seed, {kLoadTag, machine_id,
@@ -376,11 +488,7 @@ void generate_machine_load_into(const LabProfile& profile, std::uint64_t seed,
 
     // Heavy CPU episodes, stratified over the hourly-rate profile so
     // spacing is regular (students arrive steadily through the day).
-    struct Span {
-      SimTime start;
-      SimDuration dur;
-    };
-    util::ArenaVector<Span> cpu_episodes{util::ArenaAllocator<Span>(arena)};
+    cpu_episodes.clear();
     {
       const auto& rates =
           we ? profile.cpu_episode_rate.weekend : profile.cpu_episode_rate.weekday;
@@ -495,6 +603,11 @@ void generate_machine_load_into(const LabProfile& profile, std::uint64_t seed,
         downtimes.push_back(d);
       }
     }
+
+    // Only an attached memory episode starts before its own day, and by
+    // at most 0.6 x 240 min, so no later day reaches back past this one's
+    // start: everything earlier is final.
+    ov.flush_before(day_start, out.points);
   }
 
   std::sort(downtimes.begin(), downtimes.end(),
@@ -508,7 +621,7 @@ void generate_machine_load_into(const LabProfile& profile, std::uint64_t seed,
     merged.push_back(d);
   }
 
-  ov.build_into(epoch, out.points);
+  ov.build_into(out.points);
 }
 
 MachineLoadTrace generate_machine_load(const LabProfile& profile,

@@ -20,10 +20,19 @@
 // these trajectories exactly as the iShare resource monitor ran over
 // vmstat output; nothing in this module decides what counts as
 // unavailability.
+//
+// Synthesis streams by day. Each day draws from its own keyed RNG stream
+// and adds its intervals to a LoadOverlay, which then sweeps every delta
+// earlier than that day's start into trajectory points. Lagging one day
+// keeps this exact: only a memory episode attached to a CPU episode's
+// tail starts before its own day, and by at most 0.6 x 240 min (~2.4 h).
+// Deltas that share a timestamp are summed in insertion order, so the
+// points are bit-identical to one stable sweep over the whole horizon,
+// while the pending deltas never exceed about two days' worth.
 #pragma once
 
-#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -71,30 +80,50 @@ class LoadTrajectory {
   std::vector<LoadPoint> points_;
 };
 
-/// Accumulates overlapping CPU/memory contributions and builds a merged
-/// trajectory (CPU capped at 1.0).
+/// Accumulates overlapping CPU/memory contributions and sweeps them into
+/// a merged trajectory (CPU capped at 1.0), either all at once or
+/// incrementally, a window at a time.
+///
+/// Every interval becomes two deltas (+load at its start, -load at its
+/// end). The sweep visits deltas in time order; deltas that share a
+/// timestamp are summed in insertion order, which makes the trajectory's
+/// bits independent of any sort's internals. flush_before(cut) sweeps the
+/// pending deltas earlier than `cut`; the ones at or after it wait for a
+/// later flush, so flushing in steps yields exactly the points of one
+/// build. An add that starts before the last cut would land in a window
+/// already swept and is rejected (ConfigError).
+///
+/// No sort spans more than what is pending: runs that arrive in time
+/// order (back-to-back segments) are detected and merged stably, so a
+/// caller that adds one window's intervals and then flushes pays O(window)
+/// per step.
 class LoadOverlay {
  public:
-  /// With a non-null arena, all internal storage (the delta list and the
-  /// sort scratch of build/build_into) bump-allocates from it.
-  explicit LoadOverlay(util::Arena* arena = nullptr)
-      : deltas_(util::ArenaAllocator<Delta>(arena)) {}
+  /// The trajectory starts at `origin` with zero load; deltas at or
+  /// before it fold into that first point. With a non-null arena, all
+  /// internal storage bump-allocates from it.
+  explicit LoadOverlay(sim::SimTime origin = sim::SimTime::epoch(),
+                       util::Arena* arena = nullptr)
+      : origin_(origin),
+        pending_(util::ArenaAllocator<Delta>(arena)),
+        scratch_(util::ArenaAllocator<Delta>(arena)),
+        runs_(util::ArenaAllocator<std::size_t>(arena)) {}
 
   /// Adds `cpu` load over [start, end).
   void add_cpu(sim::SimTime start, sim::SimTime end, double cpu);
   /// Adds `mem_mb` of host memory over [start, end).
   void add_mem(sim::SimTime start, sim::SimTime end, double mem_mb);
 
-  /// Sweeps all contributions into a LoadTrajectory starting at `origin`.
-  LoadTrajectory build(sim::SimTime origin) const;
+  /// Sweeps every pending delta earlier than `cut` into `out`, appending
+  /// points strictly increasing in time. An empty `out` first gets the
+  /// origin point. Later adds must start at or after `cut`.
+  void flush_before(sim::SimTime cut, util::ArenaVector<LoadPoint>& out);
 
-  /// Identical sweep, written into `out` (typically arena-backed)
-  /// without constructing a LoadTrajectory. Points are strictly
-  /// increasing in time by construction.
-  void build_into(sim::SimTime origin,
-                  util::ArenaVector<LoadPoint>& out) const;
+  /// Flushes everything (the one-shot sweep); no add may follow.
+  void build_into(util::ArenaVector<LoadPoint>& out);
+  LoadTrajectory build();
 
-  util::Arena* arena() const { return deltas_.get_allocator().arena(); }
+  util::Arena* arena() const { return pending_.get_allocator().arena(); }
 
  private:
   struct Delta {
@@ -103,37 +132,24 @@ class LoadOverlay {
     double mem;
   };
 
-  // The one sweep implementation both build flavors share; Vec only
-  // needs push_back/back/clear.
-  template <class Vec>
-  void sweep_into(sim::SimTime origin, Vec& points) const {
-    util::ArenaVector<Delta> sorted(deltas_.begin(), deltas_.end(),
-                                    deltas_.get_allocator());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Delta& a, const Delta& b) { return a.t < b.t; });
-    points.push_back({origin, 0.0, 0.0});
-    double cpu = 0.0, mem = 0.0;
-    std::size_t i = 0;
-    while (i < sorted.size()) {
-      const sim::SimTime t = sorted[i].t;
-      while (i < sorted.size() && sorted[i].t == t) {
-        cpu += sorted[i].cpu;
-        mem += sorted[i].mem;
-        ++i;
-      }
-      // Numerical noise from +=/-= pairs can leave tiny negatives.
-      const double cpu_val = std::clamp(cpu, 0.0, 1.0);
-      const double mem_val = std::max(0.0, mem);
-      if (t <= points.back().t) {
-        points.back().cpu = cpu_val;
-        points.back().mem_mb = mem_val;
-      } else {
-        points.push_back({t, cpu_val, mem_val});
-      }
-    }
-  }
+  void add(sim::SimTime start, sim::SimTime end, double cpu, double mem);
+  /// Stably sorts pending_ by time: the already-sorted prefix is one
+  /// run, the rest splits into maximal in-order runs.
+  void sort_pending();
+  /// Stably merges the adjacent sorted runs [lo, mid) and [mid, hi).
+  void merge(std::size_t lo, std::size_t mid, std::size_t hi);
+  /// Sweeps the first `count` (sorted) pending deltas into `out`.
+  void sweep(std::size_t count, util::ArenaVector<LoadPoint>& out);
 
-  util::ArenaVector<Delta> deltas_;
+  sim::SimTime origin_;
+  sim::SimTime cut_ = sim::SimTime::from_micros(INT64_MIN);
+  double cpu_ = 0.0;  // running sums over every swept delta
+  double mem_ = 0.0;
+  /// [0, sorted_) in sweep order; the rest in insertion order.
+  util::ArenaVector<Delta> pending_;
+  std::size_t sorted_ = 0;
+  util::ArenaVector<Delta> scratch_;     // merge buffer
+  util::ArenaVector<std::size_t> runs_;  // run starts, for sort_pending
 };
 
 /// A URR downtime event (owner reboot or hardware/software failure).
@@ -264,8 +280,10 @@ MachineLoadTrace generate_machine_load(const LabProfile& profile,
 /// The generation core the wrapper above delegates to: identical values
 /// (same RNG draw order, same arithmetic), but all transient and output
 /// storage draws from `arena` and the profile is NOT re-validated —
-/// callers on the per-machine hot path validate once up front. With a
-/// warmed-up arena this performs zero heap allocations.
+/// callers on the per-machine hot path validate once up front. It flushes
+/// the overlay day by day (see the top of this file), so transient
+/// storage is O(day) and the output points O(horizon). With a warmed-up
+/// arena this performs zero heap allocations.
 void generate_machine_load_into(const LabProfile& profile, std::uint64_t seed,
                                 std::uint32_t machine_id, int days,
                                 int start_dow, util::Arena* arena,

@@ -56,7 +56,7 @@ workload::MachineLoadTrace make_trace() {
   ov.add_cpu(t0 + 1_h, t0 + 2_h, 0.9);
   ov.add_mem(t0, t0 + 2_h, 800.0);
   workload::MachineLoadTrace trace;
-  trace.load = ov.build(t0);
+  trace.load = ov.build();
   trace.downtimes.push_back(
       {t0 + 30_min, SimDuration::seconds(40), true});
   return trace;
@@ -86,7 +86,7 @@ TEST(TrajectorySampler, FreeMemoryFloorsAtZero) {
   workload::LoadOverlay ov;
   ov.add_mem(SimTime::epoch(), SimTime::epoch() + 1_h, 5000.0);
   workload::MachineLoadTrace trace;
-  trace.load = ov.build(SimTime::epoch());
+  trace.load = ov.build();
   TrajectorySampler sampler(trace, 1024.0, 100.0);
   EXPECT_DOUBLE_EQ(sampler.sample(SimTime::epoch() + 1_min, 15_s).free_mem_mb,
                    0.0);

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
+#include "fgcs/util/arena.hpp"
 #include "fgcs/util/error.hpp"
+#include "fgcs/util/rng.hpp"
 #include "fgcs/workload/load_model.hpp"
 
 namespace fgcs::workload {
@@ -15,6 +20,21 @@ using sim::SimDuration;
 using sim::SimTime;
 
 SimTime at(std::int64_t s) { return SimTime::epoch() + SimDuration::seconds(s); }
+
+/// Point lists equal bit for bit (times, and the exact double patterns).
+template <class A, class B>
+void expect_same_points(const A& got, const B& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].t, want[i].t) << "point " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].cpu),
+              std::bit_cast<std::uint64_t>(want[i].cpu))
+        << "point " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].mem_mb),
+              std::bit_cast<std::uint64_t>(want[i].mem_mb))
+        << "point " << i;
+  }
+}
 
 TEST(LoadTrajectory, StepFunctionLookup) {
   LoadTrajectory traj({{at(0), 0.1, 100.0},
@@ -56,7 +76,7 @@ TEST(LoadOverlay, SumsOverlappingContributions) {
   LoadOverlay ov;
   ov.add_cpu(at(0), at(100), 0.3);
   ov.add_cpu(at(50), at(150), 0.4);
-  const auto traj = ov.build(SimTime::epoch());
+  const auto traj = ov.build();
   EXPECT_DOUBLE_EQ(traj.cpu_at(at(10)), 0.3);
   EXPECT_DOUBLE_EQ(traj.cpu_at(at(60)), 0.7);
   EXPECT_DOUBLE_EQ(traj.cpu_at(at(120)), 0.4);
@@ -67,7 +87,7 @@ TEST(LoadOverlay, CapsCpuAtOne) {
   LoadOverlay ov;
   ov.add_cpu(at(0), at(10), 0.8);
   ov.add_cpu(at(0), at(10), 0.9);
-  const auto traj = ov.build(SimTime::epoch());
+  const auto traj = ov.build();
   EXPECT_DOUBLE_EQ(traj.cpu_at(at(5)), 1.0);
 }
 
@@ -75,7 +95,7 @@ TEST(LoadOverlay, MemorySumsWithoutCap) {
   LoadOverlay ov;
   ov.add_mem(at(0), at(10), 700.0);
   ov.add_mem(at(5), at(15), 600.0);
-  const auto traj = ov.build(SimTime::epoch());
+  const auto traj = ov.build();
   EXPECT_DOUBLE_EQ(traj.mem_at(at(7)), 1300.0);
 }
 
@@ -83,6 +103,113 @@ TEST(LoadOverlay, EmptyIntervalRejected) {
   LoadOverlay ov;
   EXPECT_THROW(ov.add_cpu(at(5), at(5), 0.5), ConfigError);
   EXPECT_THROW(ov.add_mem(at(5), at(4), 10.0), ConfigError);
+}
+
+TEST(LoadOverlay, AddBeforeLastCutRejected) {
+  LoadOverlay ov;
+  util::ArenaVector<LoadPoint> out;
+  ov.add_cpu(at(-30), at(10), 0.2);  // before the origin: still legal
+  ov.flush_before(at(100), out);
+  EXPECT_THROW(ov.add_cpu(at(99), at(200), 0.5), ConfigError);
+  EXPECT_THROW(ov.add_mem(at(50), at(150), 10.0), ConfigError);
+  EXPECT_NO_THROW(ov.add_cpu(at(100), at(200), 0.5));  // ties the cut
+  ov.build_into(out);
+  EXPECT_THROW(ov.add_cpu(at(300), at(400), 0.5), ConfigError);
+}
+
+// Flushing window by window must give the one-shot build's points, bit for
+// bit, whatever the cuts: starts that tie a cut, intervals that start
+// before the origin, and intervals that span several windows.
+TEST(LoadOverlay, IncrementalFlushMatchesOneShotBuild) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::RngStream rng(seed, {0x4F564C59});
+    LoadOverlay stepped, oneshot;
+    util::ArenaVector<LoadPoint> got, want;
+    // A 10 s grid makes equal timestamps common.
+    auto tick = [](std::int64_t k) { return at(10 * k); };
+    std::int64_t cut = -100;  // no cut yet: starts may precede the origin
+    const auto windows = rng.uniform_int(1, 8);
+    for (std::int64_t w = 0; w < windows; ++w) {
+      const std::int64_t window_end = 60 * (w + 1);
+      const auto n = rng.uniform_int(0, 25);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::int64_t start =
+            rng.bernoulli(0.2) ? cut : rng.uniform_int(cut, window_end);
+        // Up to three windows long, so some intervals cross several cuts.
+        const std::int64_t end = start + rng.uniform_int(1, 180);
+        if (rng.bernoulli(0.5)) {
+          const double cpu = rng.uniform(0.0, 0.6);
+          stepped.add_cpu(tick(start), tick(end), cpu);
+          oneshot.add_cpu(tick(start), tick(end), cpu);
+        } else {
+          const double mb = rng.uniform(0.0, 500.0);
+          stepped.add_mem(tick(start), tick(end), mb);
+          oneshot.add_mem(tick(start), tick(end), mb);
+        }
+      }
+      cut = std::max(cut, rng.uniform_int(cut, window_end));
+      stepped.flush_before(tick(cut), got);
+      ASSERT_THROW(stepped.add_cpu(tick(cut - 1), tick(cut + 1), 0.1),
+                   ConfigError);
+    }
+    stepped.build_into(got);
+    oneshot.build_into(want);
+    SCOPED_TRACE(seed);
+    expect_same_points(got, want);
+  }
+}
+
+// Deltas that share a timestamp are summed in insertion order: the build
+// equals a stable sort of the deltas followed by a running sum. Back-to-
+// back segments make such ties at every boundary, so an unstable sort
+// changes the low bits. Two CPU chains of different periods, added
+// alternately, also tie across runs every 600 s.
+TEST(LoadOverlay, TiesSumInInsertionOrder) {
+  struct Delta {
+    SimTime t;
+    double cpu, mem;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::RngStream rng(seed, {0x54494553});
+    LoadOverlay ov;
+    std::vector<Delta> deltas;  // insertion order
+    auto add_cpu = [&](SimTime s, SimTime e) {
+      const double cpu = rng.uniform(0.0, 0.5);
+      ov.add_cpu(s, e, cpu);
+      deltas.push_back({s, cpu, 0.0});
+      deltas.push_back({e, -cpu, 0.0});
+    };
+    for (int i = 0; i < 240; ++i) {
+      add_cpu(at(300 * i), at(300 * (i + 1)));
+      if (i % 2 == 0) add_cpu(at(200 * i), at(200 * (i + 1)));
+      if (i % 24 == 0) {
+        const double mb = rng.uniform(100.0, 300.0);
+        const SimTime s = at(300 * i), e = at(300 * (i + 24));
+        ov.add_mem(s, e, mb);
+        deltas.push_back({s, 0.0, mb});
+        deltas.push_back({e, 0.0, -mb});
+      }
+    }
+    std::stable_sort(deltas.begin(), deltas.end(),
+                     [](const Delta& a, const Delta& b) { return a.t < b.t; });
+    std::vector<LoadPoint> want{{SimTime::epoch(), 0.0, 0.0}};
+    double cpu = 0.0, mem = 0.0;
+    for (std::size_t i = 0; i < deltas.size();) {
+      const SimTime t = deltas[i].t;
+      for (; i < deltas.size() && deltas[i].t == t; ++i) {
+        cpu += deltas[i].cpu;
+        mem += deltas[i].mem;
+      }
+      const LoadPoint p{t, std::clamp(cpu, 0.0, 1.0), std::max(0.0, mem)};
+      if (t <= want.back().t) {
+        want.back() = p;
+      } else {
+        want.push_back(p);
+      }
+    }
+    SCOPED_TRACE(seed);
+    expect_same_points(ov.build().points(), want);
+  }
 }
 
 TEST(HourlyRates, DailyTotal) {
@@ -128,6 +255,25 @@ TEST(LabProfile, ValidationRejectsBadValues) {
   p = LabProfile::purdue_lab();
   p.choppy_probability = 1.5;
   EXPECT_THROW(p.validate(), ConfigError);
+
+  // Each of these used to pass validation and then abort generation.
+  for (const auto period : {SimDuration::zero(), SimDuration::minutes(-5)}) {
+    p = LabProfile::purdue_lab();
+    p.base_noise_period = period;
+    EXPECT_THROW(p.validate(), ConfigError);
+  }
+
+  p = LabProfile::purdue_lab();
+  p.busy_episode_mean_minutes = 0.0;
+  EXPECT_THROW(p.validate(), ConfigError);
+
+  p = LabProfile::purdue_lab();
+  p.failure_downtime_mean_hours = -1.0;
+  EXPECT_THROW(p.validate(), ConfigError);
+
+  p = LabProfile::purdue_lab();
+  p.mem_episode_sigma_log = -0.1;
+  EXPECT_THROW(p.validate(), ConfigError);
 }
 
 TEST(GenerateMachineLoad, Deterministic) {
@@ -140,6 +286,37 @@ TEST(GenerateMachineLoad, Deterministic) {
     ASSERT_EQ(a.load.points()[i].cpu, b.load.points()[i].cpu);
   }
   ASSERT_EQ(a.downtimes.size(), b.downtimes.size());
+}
+
+// Day-by-day synthesis: every day's flush leaves points strictly
+// increasing, and no later day adds an interval before an earlier day's
+// cut (the overlay would throw). A 90-minute noise period makes the
+// background segments overlap, so they no longer arrive in time order.
+TEST(GenerateMachineLoad, DayByDayFlushKeepsPointsOrdered) {
+  auto overlapping_noise = LabProfile::purdue_lab();
+  overlapping_noise.base_noise_period = SimDuration::minutes(90);
+  const struct {
+    LabProfile profile;
+    int days;
+  } cases[] = {{LabProfile::purdue_lab(), 92},
+               {LabProfile::enterprise_desktop(), 30},
+               {LabProfile::purdue_lab(), 1},
+               {overlapping_noise, 14}};
+  util::Arena arena;
+  for (const auto& c : cases) {
+    for (std::uint32_t machine = 0; machine < 4; ++machine) {
+      arena.reset();
+      ArenaLoadTrace trace(&arena);
+      ASSERT_NO_THROW(generate_machine_load_into(c.profile, 2005, machine,
+                                                 c.days, 0, &arena, trace));
+      ASSERT_FALSE(trace.points.empty());
+      EXPECT_EQ(trace.points.front().t, SimTime::epoch());
+      for (std::size_t i = 1; i < trace.points.size(); ++i) {
+        ASSERT_LT(trace.points[i - 1].t, trace.points[i].t)
+            << c.days << " days, machine " << machine << ", point " << i;
+      }
+    }
+  }
 }
 
 TEST(GenerateMachineLoad, MachinesDiffer) {
