@@ -225,23 +225,13 @@ class TimeSeriesShard {
   // Hot hooks (called from the obs hooks when a scope is installed).
   // States and fault kinds use the hooks' conventions: 1-based S-states,
   // 0-based fault::FaultKind.
-  /// The hottest hook by far (one per detector sample). Consecutive
-  /// samples nearly always land in the cached bin, so they accumulate in
-  /// a pending counter on the same cache line as the bin cache; the
-  /// count folds into samples_ when the cache moves or a reader needs
-  /// consistent bins (flush_pending).
-  void on_sample(sim::SimTime at) {
-    const std::int64_t t = at.as_micros();
-    if (t >= cached_lo_ && t < cached_hi_) {
-      ++pending_samples_;
-      return;
-    }
-    ++samples_[bin_slow(t)];  // bin_slow flushes the pending count first
-  }
-  /// Batched equivalent of `count` on_sample calls at at, at+stride,
-  /// ..., at+stride*(count-1): bins advance run-at-a-time, so a
-  /// machine-day of samples costs O(bins touched), not O(samples).
-  /// Final bin contents are identical to the per-sample calls.
+  /// Bins `count` detector samples at at, at+stride, ...,
+  /// at+stride*(count-1), the hottest hook by far. Bins advance
+  /// run-at-a-time, so a machine-day of samples costs O(bins touched),
+  /// not O(samples): samples that land in the cached bin accumulate in a
+  /// pending counter on the same cache line as the bin cache, which folds
+  /// into samples_ when the cache moves or a reader needs consistent bins
+  /// (flush_pending).
   void on_samples(sim::SimTime at, sim::SimDuration stride,
                   std::uint64_t count);
   /// Bins one event of a kind the shard counts: state transitions,

@@ -4,57 +4,11 @@
 // heap allocation at all, synthesis included. Any nonzero count fails.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "fgcs/core/testbed.hpp"
-
-// Counting global operator new. Overriding it affects this whole test
-// binary; the counter only has to see every allocation, including the
-// aligned ones the arena's chunks use.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (align < sizeof(void*)) align = sizeof(void*);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, size != 0 ? size : align) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted(size); }
-void* operator new[](std::size_t size) { return counted(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  return counted_aligned(size, static_cast<std::size_t>(al));
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return counted_aligned(size, static_cast<std::size_t>(al));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace fgcs::core {
 namespace {
@@ -70,13 +24,13 @@ std::uint64_t steady_state_allocs(std::uint32_t machines, int days) {
   for (std::uint32_t m = 0; m < machines; ++m) {
     runner.run_into(m, scratch, records);
   }
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::heap_allocations();
   std::size_t total = 0;
   for (std::uint32_t m = 0; m < machines; ++m) {
     runner.run_into(m, scratch, records);
     total += records.size();
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = testing::heap_allocations();
   EXPECT_GT(total, 0u);  // the walk did real work
   return after - before;
 }

@@ -6,36 +6,14 @@
 
 #include <unistd.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "fgcs/fleet/fleet.hpp"
 #include "fgcs/monitor/detector.hpp"
 #include "fgcs/obs/observer.hpp"
 #include "fgcs/sim/time.hpp"
-
-// TU-local global-allocation counter for the zero-allocation smoke test.
-// Overriding operator new affects this whole test binary, which is fine:
-// the counter only has to be *accurate*, the other tests ignore it.
-namespace {
-std::atomic<std::uint64_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fgcs::obs {
 namespace {
@@ -209,16 +187,14 @@ TEST(Observer, DisabledObserverAllocatesNothing) {
   sample.free_mem_mb = 900.0;
   detector.observe(sample);
 
-  const std::uint64_t before =
-      g_allocation_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::heap_allocations();
   for (int i = 1; i <= 1000; ++i) {
     if (observer() != nullptr) FAIL();
     FGCS_OBS_SCOPE("never/recorded");
     sample.time = SimTime::from_seconds(static_cast<double>(i));
     detector.observe(sample);  // steady S1: no transitions, no episodes
   }
-  const std::uint64_t after =
-      g_allocation_count.load(std::memory_order_relaxed);
+  const std::uint64_t after = testing::heap_allocations();
   EXPECT_EQ(after - before, 0u);
 }
 
@@ -237,8 +213,8 @@ std::uint64_t steady_state_allocations(const std::filesystem::path& dir,
   std::uint64_t from = 0;
   std::uint64_t to = 0;
   config.machine_hook = [&](trace::MachineId machine, int) {
-    if (machine == 8) from = g_allocation_count.load();
-    if (machine == 63) to = g_allocation_count.load();
+    if (machine == 8) from = testing::heap_allocations();
+    if (machine == 63) to = testing::heap_allocations();
   };
   fleet::run_fleet(config);
   return to - from;

@@ -20,6 +20,9 @@ namespace {
 using sim::SimDuration;
 using sim::SimTime;
 
+// The detector's sample period; one-sample on_samples calls ignore it.
+const SimDuration kStride = SimDuration::seconds(15);
+
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
@@ -110,14 +113,15 @@ TEST(ObsTimeSeries, ShardBinsSamplesIncludingEdgeAndCachePaths) {
   // Repeated hits in one bin ride the pending-count fast path; the total
   // must settle regardless of when it is read.
   for (int i = 0; i < 100; ++i) {
-    shard.on_sample(start + SimDuration::minutes(30) + SimDuration::seconds(i));
+    shard.on_samples(start + SimDuration::minutes(30) + SimDuration::seconds(i),
+                     kStride, 1);
   }
   EXPECT_EQ(shard.total_samples(), 100u);
-  shard.on_sample(start + SimDuration::minutes(90));   // second bin
-  shard.on_sample(start + SimDuration::minutes(30));   // back to the first
+  shard.on_samples(start + SimDuration::minutes(90), kStride, 1);  // 2nd bin
+  shard.on_samples(start + SimDuration::minutes(30), kStride, 1);  // 1st again
   // Out-of-horizon samples are absorbed by the edge bins, not dropped.
-  shard.on_sample(start - SimDuration::hours(5));
-  shard.on_sample(end + SimDuration::hours(5));
+  shard.on_samples(start - SimDuration::hours(5), kStride, 1);
+  shard.on_samples(end + SimDuration::hours(5), kStride, 1);
   EXPECT_EQ(shard.total_samples(), 104u);
 }
 
@@ -126,9 +130,9 @@ TEST(ObsTimeSeries, AddFoldsShardsWithMatchingGeometry) {
   const SimTime end = start + SimDuration::hours(2);
   TimeSeriesShard a(start, end, SimDuration::hours(1));
   TimeSeriesShard b(start, end, SimDuration::hours(1));
-  a.on_sample(start + SimDuration::minutes(10));
-  b.on_sample(start + SimDuration::minutes(20));
-  b.on_sample(start + SimDuration::minutes(70));
+  a.on_samples(start + SimDuration::minutes(10), kStride, 1);
+  b.on_samples(start + SimDuration::minutes(20), kStride, 1);
+  b.on_samples(start + SimDuration::minutes(70), kStride, 1);
   b.record({.at = start + SimDuration::minutes(70),
             .kind = FlightEventKind::kStateTransition,
             .a = 1,
@@ -144,7 +148,7 @@ TEST(ObsTimeSeries, SegmentBytesAreDeterministic) {
   const auto write_one = [&](const std::string& path) {
     TimeSeriesShard shard(start, end, SimDuration::hours(1));
     for (int i = 0; i < 500; ++i) {
-      shard.on_sample(start + SimDuration::minutes(i));
+      shard.on_samples(start + SimDuration::minutes(i), kStride, 1);
     }
     shard.record({.at = start + SimDuration::hours(1),
                   .kind = FlightEventKind::kEpisodeOpened});

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Pins the exact bytes fgcs writes for two reference runs, by SHA-256:
+# Pins the exact bytes of fgcs's reference outputs, by SHA-256:
 #
 #   simulate  the default `fgcs simulate` trace (20 machines x 92 days)
 #   fleet     every file of a faulted, spilled, single-threaded
 #             `fgcs fleet` (40 machines x 14 days, crash/dropout/skew plan)
+#   figures   every file `fgcs figures --out D` writes
+#   bench     the stdout of every paper-reproduction program in bench/
+#             (the tables and figures EXPERIMENTS.md quotes)
 #
-# Usage: output_digests.sh simulate|fleet <fgcs binary> <work dir> <expected>
+# Usage: output_digests.sh simulate|fleet|figures <work dir> <expected> <fgcs binary>
+#        output_digests.sh bench <work dir> <expected> <program>...
 #
 # <expected> holds `sha256sum` lines for the files under <work dir>/out.
 # Any difference fails with the command that produced the output. A
@@ -13,11 +17,14 @@
 # and records the change, with its measured size, in CHANGES.md.
 set -euo pipefail
 
-if [[ $# -ne 4 ]]; then
-  echo "usage: $0 simulate|fleet <fgcs binary> <work dir> <expected>" >&2
+if [[ $# -lt 4 ]]; then
+  echo "usage: $0 simulate|fleet|figures|bench <work dir> <expected>" \
+       "<fgcs binary | bench program...>" >&2
   exit 2
 fi
-mode=$1 fgcs=$2 work=$3 expected=$4
+mode=$1 work=$2 expected=$3
+shift 3
+fgcs=$1  # the one program of every mode but bench
 
 rm -rf "$work"
 mkdir -p "$work/out"
@@ -34,8 +41,17 @@ case "$mode" in
     cmd=("$fgcs" fleet --machines 40 --days 14 --threads 1
          --fault-plan plan.txt --spill-dir out/fleet)
     ;;
+  figures)
+    cmd=("$fgcs" figures --out out/figures)
+    ;;
+  bench)
+    # One stdout file per program, named after it; a program that exits
+    # nonzero fails the check before any digest is compared.
+    cmd=(bash -c 'set -e; for p; do "$p" > "out/${p##*/}.txt"; done' bench
+         "$@")
+    ;;
   *)
-    echo "unknown mode '$mode' (expected simulate or fleet)" >&2
+    echo "unknown mode '$mode' (expected simulate, fleet, figures or bench)" >&2
     exit 2
     ;;
 esac
